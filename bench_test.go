@@ -202,10 +202,12 @@ func BenchmarkReduceImplicitEndToEnd(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	sv := pslocal.NewSolver(pslocal.WithK(3), pslocal.WithMode(pslocal.ModeImplicitFirstFit))
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := pslocal.Reduce(h, pslocal.ReduceOptions{K: 3, Mode: pslocal.ModeImplicitFirstFit})
+		res, err := sv.Solve(ctx, h)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -262,10 +264,12 @@ func BenchmarkSLOCALGreedyMIS(b *testing.B) {
 func BenchmarkBallCarving(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	g := pslocal.GnP(80, 0.06, rng)
+	sv := pslocal.NewSolver(pslocal.WithCarving(1.0))
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pslocal.BallCarvingMaxIS(g, pslocal.CarvingOptions{Delta: 1.0}); err != nil {
+		if _, err := sv.MaxIS(ctx, g); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,8 +6,8 @@ package pslocal
 // consistent-hash ring keyed on the instance cache key (InstanceKey —
 // the same sha256 content hash the Solver's parsed-instance cache
 // uses). Repeated submissions of one instance land on the same backend
-// and hit its cache; the gateway forwards the precomputed key in
-// HeaderInstanceKey so the backend's keyed readers skip re-hashing.
+// and hit its cache; the backend hashes the body again for its own
+// lookup.
 //
 //	gw, err := pslocal.NewGateway(pslocal.GatewayConfig{
 //		Backends: []string{"http://node1:8355", "http://node2:8355"},
@@ -48,20 +48,11 @@ type (
 	HashRing = cluster.Ring
 )
 
-// Routing policies.
+// Routing policies and the gateway's response header.
 const (
 	PolicyAffinity    = cluster.PolicyAffinity
 	PolicyRoundRobin  = cluster.PolicyRoundRobin
 	PolicyLeastLoaded = cluster.PolicyLeastLoaded
-)
-
-// Gateway protocol headers.
-const (
-	// HeaderInstanceKey carries the precomputed instance cache key from
-	// gateway to backend; cfserve's keyed readers honour it and skip
-	// re-hashing the body. Trusted: only a gateway that derived the key
-	// from the same bytes should set it.
-	HeaderInstanceKey = cluster.HeaderInstanceKey
 	// HeaderBackend reports which backend served a proxied request.
 	HeaderBackend = cluster.HeaderBackend
 )

@@ -1,10 +1,10 @@
 // Command cfgate is the cluster gateway: it fronts a set of cfserve
 // backends and routes /v1/reduce, /v1/maxis and /v1/jobs traffic by
 // cache affinity — the routing key is the solver's instance cache key
-// (the sha256 content hash of kind, format and body), computed once
-// here and forwarded in X-Pslocal-Instance-Key so backends skip
-// re-hashing. Repeated submissions of the same instance land on the
-// same backend and hit its parsed-instance cache.
+// (the sha256 content hash of kind, format and body), computed here
+// from the buffered body. Repeated submissions of the same instance
+// land on the same backend and hit its parsed-instance cache; the
+// backend hashes the body itself for that lookup.
 //
 // Endpoints mirror cfserve's API one for one; responses carry the
 // serving backend in X-Pslocal-Backend. The gateway adds:

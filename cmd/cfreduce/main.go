@@ -29,16 +29,18 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 
 	"pslocal"
-	"pslocal/internal/encode"
 	"pslocal/internal/graphio"
 	"pslocal/internal/hypergraph"
 	"pslocal/internal/verify"
@@ -135,7 +137,7 @@ func run() error {
 		return report.Err()
 	}
 	if *printCol {
-		if err := encode.WriteMulticoloring(os.Stdout, res.Multicoloring); err != nil {
+		if err := writeMulticoloring(os.Stdout, res.Multicoloring); err != nil {
 			return err
 		}
 	}
@@ -145,6 +147,22 @@ func run() error {
 		}
 	}
 	return nil
+}
+
+// writeMulticoloring writes mc as "v: c1 c2 ..." lines for human review
+// (uncoloured vertices are written with an empty colour list).
+func writeMulticoloring(w io.Writer, mc pslocal.Multicoloring) error {
+	bw := bufio.NewWriter(w)
+	for v, cols := range mc {
+		parts := make([]string, len(cols))
+		for i, c := range cols {
+			parts[i] = strconv.Itoa(int(c))
+		}
+		if _, err := fmt.Fprintf(bw, "%d: %s\n", v, strings.Join(parts, " ")); err != nil {
+			return fmt.Errorf("writing multicolouring: %w", err)
+		}
+	}
+	return bw.Flush()
 }
 
 // writeResult dumps the result document to path, or stdout for "-".

@@ -6,12 +6,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"pslocal"
 	"pslocal/internal/core"
-	"pslocal/internal/encode"
 	"pslocal/internal/graphio"
 	"pslocal/internal/hypergraph"
 )
@@ -39,7 +39,7 @@ func TestMakeInstanceFromFile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
-	if err := encode.WriteHypergraph(f, h); err != nil {
+	if err := graphio.WriteHypergraph(f, h, graphio.FormatEdgeList); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	if err := f.Close(); err != nil {
@@ -152,5 +152,19 @@ func TestWriteResult(t *testing.T) {
 	}
 	if back.K != res.K || back.TotalColors != res.TotalColors || len(back.Phases) != len(res.Phases) {
 		t.Errorf("result round trip changed the document: %+v vs %+v", back, res)
+	}
+}
+
+func TestWriteMulticoloring(t *testing.T) {
+	mc := pslocal.Multicoloring{{2, 5}, nil, {1}}
+	var sb strings.Builder
+	if err := writeMulticoloring(&sb, mc); err != nil {
+		t.Fatalf("writeMulticoloring error: %v", err)
+	}
+	out := sb.String()
+	for _, want := range []string{"0: 2 5", "1: ", "2: 1"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
 	}
 }

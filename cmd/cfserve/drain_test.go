@@ -3,14 +3,15 @@ package main
 // drain_test.go covers the cluster-mode server lifecycle: the
 // liveness/readiness split, /drainz, the refusal of new work while
 // draining, the SIGTERM drain path finishing running jobs instead of
-// abandoning them (the regression this file exists for), and the
-// gateway's X-Pslocal-Instance-Key fast path through the keyed readers.
+// abandoning them (the regression this file exists for), and the cache
+// accounting of a request that reaches the server through the gateway.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -18,7 +19,6 @@ import (
 	"pslocal"
 	"pslocal/internal/engine"
 	"pslocal/internal/graph"
-	"pslocal/internal/graphio"
 	"pslocal/internal/maxis"
 )
 
@@ -232,61 +232,41 @@ func TestDrainFinishesRunningJob(t *testing.T) {
 	}
 }
 
-// TestInstanceKeyHeaderFastPath exercises the gateway protocol against
-// a real server: a request carrying the precomputed instance key parses
-// and caches under that key, the identical keyed resubmission hits, and
-// a malformed header value falls back to hashing instead of failing.
-func TestInstanceKeyHeaderFastPath(t *testing.T) {
-	_, ts := newTestServer(t)
-	body := quickstartBody(t)
-	format, err := graphio.ParseFormat("")
+// TestGatewayRequestCountsOneCacheLookup runs a real server behind the
+// gateway: a cold reduce moves the backend's cache misses by exactly
+// one, and the identical resubmission lands on the same backend and
+// moves its hits by one.
+func TestGatewayRequestCountsOneCacheLookup(t *testing.T) {
+	s, ts := newTestServer(t)
+	gw, err := pslocal.NewGateway(pslocal.GatewayConfig{Backends: []string{ts.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := pslocal.InstanceKey(pslocal.KindHypergraph, format.String(), body)
+	gts := httptest.NewServer(gw)
+	t.Cleanup(gts.Close)
+	body := quickstartBody(t)
 
-	post := func(header string) (int, instanceInfo) {
+	post := func(wantCache string) {
 		t.Helper()
-		req, err := http.NewRequest(http.MethodPost,
-			ts.URL+"/v1/reduce?k=3&oracle=greedy-mindeg", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if header != "" {
-			req.Header.Set(pslocal.HeaderInstanceKey, header)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
 		var got struct {
 			Instance instanceInfo `json:"instance"`
-			Verified bool         `json:"verified"`
 		}
-		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-			t.Fatal(err)
+		resp := postInstance(t, gts.URL+"/v1/reduce?k=3&oracle=greedy-mindeg", body, &got)
+		if resp.StatusCode != http.StatusOK || got.Instance.Cache != wantCache {
+			t.Fatalf("status %d, cache %q, want 200 %s", resp.StatusCode, got.Instance.Cache, wantCache)
 		}
-		if resp.StatusCode == http.StatusOK && !got.Verified {
-			t.Errorf("unverified result")
-		}
-		return resp.StatusCode, got.Instance
 	}
 
-	code, inst := post(key)
-	if code != http.StatusOK || inst.Cache != "miss" {
-		t.Fatalf("first keyed request: status %d, cache %q, want 200 miss", code, inst.Cache)
+	before := s.solver.CacheStats()
+	post("miss")
+	cold := s.solver.CacheStats()
+	if d := cold.Misses - before.Misses; d != 1 || cold.Hits != before.Hits {
+		t.Fatalf("cold request: misses +%d hits +%d, want +1 and +0", d, cold.Hits-before.Hits)
 	}
-	if want := "sha256:" + key[:16]; inst.Key != want {
-		t.Errorf("first keyed request: key %q, want %q", inst.Key, want)
-	}
-	code, inst = post(key)
-	if code != http.StatusOK || inst.Cache != "hit" {
-		t.Fatalf("second keyed request: status %d, cache %q, want 200 hit", code, inst.Cache)
-	}
-	code, inst = post("not-a-sha256")
-	if code != http.StatusOK {
-		t.Fatalf("malformed key fallback: status %d, want 200", code)
+	post("hit")
+	hot := s.solver.CacheStats()
+	if d := hot.Hits - cold.Hits; d != 1 || hot.Misses != cold.Misses {
+		t.Fatalf("resubmission: hits +%d misses +%d, want +1 and +0", d, hot.Misses-cold.Misses)
 	}
 }
 

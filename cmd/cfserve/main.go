@@ -47,8 +47,7 @@
 // each request's worker fan-out is capped by -max-workers. Parsed
 // instances are cached by content hash (-cache-entries), so repeated
 // submissions of a hot graph skip parsing and CSR construction. Behind
-// cfgate the cache key arrives precomputed in X-Pslocal-Instance-Key
-// and the keyed readers skip re-hashing.
+// cfgate the same hash routes an instance to the node that caches it.
 //
 // Shutdown: SIGTERM (or POST /drainz) drains gracefully — /readyz flips
 // to 503 so the gateway stops routing here (when /readyz is being

@@ -367,14 +367,11 @@ func (s *server) handleReduce(w http.ResponseWriter, r *http.Request) {
 	// embeds it in the response.
 	tr := grabTrace("reduce", r.Header.Get(pslocal.RequestIDHeader))
 	ctx := pslocal.ContextWithTrace(r.Context(), tr)
-	// Admission (the shared gate) happens inside SolveReaderKeyed before
-	// the body is even read: parsing and CSR construction are exactly
-	// the costs the gate exists to bound. A gateway-supplied instance
-	// key (X-Pslocal-Instance-Key) skips re-hashing the body; requests
-	// without one hash as before.
-	res, inst, err := sv.SolveReaderKeyed(ctx,
-		http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes), format,
-		r.Header.Get(pslocal.HeaderInstanceKey))
+	// Admission (the shared gate) happens inside SolveReader before the
+	// body is even read: parsing and CSR construction are exactly the
+	// costs the gate exists to bound.
+	res, inst, err := sv.SolveReader(ctx,
+		http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes), format)
 	if err != nil {
 		s.finishTrace(tr)
 		s.failSolve(w, err)
@@ -505,9 +502,8 @@ func (s *server) handleMaxIS(w http.ResponseWriter, r *http.Request) {
 	started := time.Now()
 	tr := grabTrace("maxis", r.Header.Get(pslocal.RequestIDHeader))
 	ctx := pslocal.ContextWithTrace(r.Context(), tr)
-	res, inst, err := sv.MaxISReaderKeyed(ctx,
-		http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes), format,
-		r.Header.Get(pslocal.HeaderInstanceKey))
+	res, inst, err := sv.MaxISReader(ctx,
+		http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes), format)
 	if err != nil {
 		s.finishTrace(tr)
 		s.failSolve(w, err)

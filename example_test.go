@@ -70,29 +70,6 @@ func ExampleSolver_SolveReader() {
 	// run 2: cache hit true, colours 2
 }
 
-// ExampleReduce runs the Theorem 1.1 reduction on a planted instance and
-// verifies the result.
-func ExampleReduce() {
-	rng := rand.New(rand.NewSource(7))
-	h, _, err := pslocal.PlantedCF(60, 24, 3, 3, 5, rng)
-	if err != nil {
-		fmt.Println("generator:", err)
-		return
-	}
-	res, err := pslocal.Reduce(h, pslocal.ReduceOptions{K: 3, Mode: pslocal.ModeImplicitFirstFit})
-	if err != nil {
-		fmt.Println("reduce:", err)
-		return
-	}
-	fmt.Println("phases:", len(res.Phases))
-	fmt.Println("colours:", res.TotalColors)
-	fmt.Println("verified:", pslocal.VerifyReduction(h, res) == nil)
-	// Output:
-	// phases: 1
-	// colours: 3
-	// verified: true
-}
-
 // ExampleColoringToIS demonstrates the Lemma 2.1(a) correspondence: a
 // conflict-free colouring induces one conflict-graph triple per edge.
 func ExampleColoringToIS() {
@@ -119,22 +96,24 @@ func ExampleColoringToIS() {
 	// first triple: (e0,v0,c1)
 }
 
-// ExampleBallCarvingMaxIS shows the containment direction: a
-// (1+δ)-approximate maximum independent set with logarithmic locality.
-func ExampleBallCarvingMaxIS() {
+// ExampleWithCarving shows the containment direction: a Solver switched
+// onto ball carving returns a (1+δ)-approximate maximum independent set
+// with logarithmic locality.
+func ExampleWithCarving() {
 	g := pslocal.Grid(4, 5)
-	res, err := pslocal.BallCarvingMaxIS(g, pslocal.CarvingOptions{Delta: 1.0})
+	ctx := context.Background()
+	res, err := pslocal.NewSolver(pslocal.WithCarving(1.0)).MaxIS(ctx, g)
 	if err != nil {
 		fmt.Println("carving:", err)
 		return
 	}
-	opt, err := pslocal.ExactMaxIS(g)
+	opt, err := pslocal.NewSolver(pslocal.WithOracle("exact")).MaxIS(ctx, g)
 	if err != nil {
 		fmt.Println("exact:", err)
 		return
 	}
-	fmt.Println("alpha:", len(opt))
-	fmt.Println("carved at least half:", 2*len(res.Set) >= len(opt))
+	fmt.Println("alpha:", len(opt.Set))
+	fmt.Println("carved at least half:", 2*len(res.Set) >= len(opt.Set))
 	fmt.Println("locality within bound:", res.Locality <= res.RadiusBound)
 	// Output:
 	// alpha: 10
@@ -176,7 +155,7 @@ e 5 1
 }
 
 // ExampleNewOraclePortfolio races three oracles on the same graph and
-// keeps the largest independent set; Reduce forwards its Engine options
+// keeps the largest independent set; a Solver forwards its worker pool
 // to the portfolio so one -workers setting drives the whole phase loop.
 func ExampleNewOraclePortfolio() {
 	members := make([]pslocal.Oracle, 0, 3)

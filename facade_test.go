@@ -4,6 +4,7 @@ package pslocal_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"strings"
@@ -98,17 +99,18 @@ func TestFacadeHypergraphAndColourings(t *testing.T) {
 func TestFacadeMaxISSolvers(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := pslocal.GnP(35, 0.15, rng)
-	exact, err := pslocal.ExactMaxIS(g)
-	if err != nil {
-		t.Fatalf("ExactMaxIS: %v", err)
-	}
-	greedy := pslocal.GreedyMaxIS(g)
-	ramsey := pslocal.CliqueRemovalMaxIS(g)
-	for name, set := range map[string][]int32{"exact": exact, "greedy": greedy, "ramsey": ramsey} {
-		if err := pslocal.VerifyIndependentSet(g, set); err != nil {
+	sets := make(map[string][]int32)
+	for _, name := range []string{"exact", "greedy-mindeg", "clique-removal"} {
+		res, err := pslocal.NewSolver(pslocal.WithOracle(name)).MaxIS(context.Background(), g)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := pslocal.VerifyIndependentSet(g, res.Set); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
+		sets[name] = res.Set
 	}
+	exact, greedy, ramsey := sets["exact"], sets["greedy-mindeg"], sets["clique-removal"]
 	if len(exact) < len(greedy) || len(exact) < len(ramsey) {
 		t.Errorf("exact %d smaller than a heuristic (greedy %d, ramsey %d)",
 			len(exact), len(greedy), len(ramsey))

@@ -6,12 +6,12 @@
 package pslocal_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
 	"pslocal"
-	"pslocal/internal/maxis"
 )
 
 func TestIntegrationHardnessPipelineAllModes(t *testing.T) {
@@ -23,16 +23,17 @@ func TestIntegrationHardnessPipelineAllModes(t *testing.T) {
 	if !pslocal.IsConflictFree(h, planted) {
 		t.Fatal("planted witness not conflict-free")
 	}
-	modes := map[string]pslocal.ReduceOptions{
-		"exact":    {K: 3, Mode: pslocal.ModeExactHinted},
-		"implicit": {K: 3, Mode: pslocal.ModeImplicitFirstFit},
-		"greedy":   {K: 3, Mode: pslocal.ModeOracle, Oracle: maxis.MinDegreeOracle{}},
+	oracles := map[string]string{
+		"exact":    "exact",
+		"implicit": "implicit",
+		"greedy":   "greedy-mindeg",
 	}
-	for name, opts := range modes {
+	for name, oracle := range oracles {
 		t.Run(name, func(t *testing.T) {
-			res, err := pslocal.Reduce(h, opts)
+			sv := pslocal.NewSolver(pslocal.WithK(3), pslocal.WithOracle(oracle))
+			res, err := sv.Solve(context.Background(), h)
 			if err != nil {
-				t.Fatalf("Reduce: %v", err)
+				t.Fatalf("Solve: %v", err)
 			}
 			if err := pslocal.VerifyReduction(h, res); err != nil {
 				t.Fatalf("verification: %v", err)
@@ -94,22 +95,23 @@ func TestIntegrationLemmaRoundTripViaFacade(t *testing.T) {
 }
 
 func TestIntegrationContainmentAgainstExact(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(3))
 	for _, delta := range []float64{1.0, 0.5} {
 		g := pslocal.GnP(70, 0.07, rng)
-		res, err := pslocal.BallCarvingMaxIS(g, pslocal.CarvingOptions{Delta: delta})
+		res, err := pslocal.NewSolver(pslocal.WithCarving(delta)).MaxIS(ctx, g)
 		if err != nil {
-			t.Fatalf("BallCarvingMaxIS: %v", err)
+			t.Fatalf("carving: %v", err)
 		}
 		if err := pslocal.VerifyIndependentSet(g, res.Set); err != nil {
 			t.Fatalf("carving output: %v", err)
 		}
-		opt, err := pslocal.ExactMaxIS(g)
+		opt, err := pslocal.NewSolver(pslocal.WithOracle("exact")).MaxIS(ctx, g)
 		if err != nil {
-			t.Fatalf("ExactMaxIS: %v", err)
+			t.Fatalf("exact: %v", err)
 		}
-		if float64(len(res.Set))*(1+delta) < float64(len(opt))-1e-9 {
-			t.Errorf("δ=%v: carving %d below α/(1+δ) with α=%d", delta, len(res.Set), len(opt))
+		if float64(len(res.Set))*(1+delta) < float64(len(opt.Set))-1e-9 {
+			t.Errorf("δ=%v: carving %d below α/(1+δ) with α=%d", delta, len(res.Set), len(opt.Set))
 		}
 		bound := int(math.Ceil(math.Log(float64(g.N()))/math.Log(1+delta))) + 2
 		if res.Locality > bound {

@@ -147,13 +147,12 @@ func TestHealthProberEjectsAndReadmits(t *testing.T) {
 	<-done
 }
 
-// solveBackend is a stub cfserve: it records instance-key headers and
-// serves a canned JSON body, optionally refusing with 503.
+// solveBackend is a stub cfserve: it counts requests and serves a
+// canned JSON body, optionally refusing with 503.
 type solveBackend struct {
 	name     string
 	srv      *httptest.Server
 	hits     atomic.Int64
-	lastKey  atomic.Value // string
 	refusing atomic.Bool
 }
 
@@ -171,7 +170,6 @@ func newSolveBackend(t *testing.T, name string) *solveBackend {
 			return
 		}
 		b.hits.Add(1)
-		b.lastKey.Store(r.Header.Get(HeaderInstanceKey))
 		io.Copy(io.Discard, r.Body)
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `{"served_by":%q}`+"\n", b.name)
@@ -218,18 +216,14 @@ func TestGatewayAffinityPinsInstances(t *testing.T) {
 			t.Fatalf("same body routed to %s then %s", first, backend)
 		}
 	}
-	// The forwarded key matches the solver's own derivation.
+	// The routing key is the solver's own cache key derivation.
 	wantKey := solver.InstanceKey(solver.KindHypergraph, graphio.FormatAuto.String(), []byte(body))
+	if owner := g.Ring().Owner(wantKey); first != owner {
+		t.Fatalf("body routed to %s, want the ring owner of its instance key %s", first, owner)
+	}
 	total := b1.hits.Load() + b2.hits.Load() + b3.hits.Load()
 	if total != 8 {
 		t.Fatalf("backends saw %d requests, want 8", total)
-	}
-	for _, b := range []*solveBackend{b1, b2, b3} {
-		if b.hits.Load() > 0 {
-			if got, _ := b.lastKey.Load().(string); got != wantKey {
-				t.Fatalf("backend %s saw key %q, want %q", b.name, got, wantKey)
-			}
-		}
 	}
 }
 
@@ -549,9 +543,7 @@ func TestGatewayMethodNotAllowed(t *testing.T) {
 
 // TestGatewayForwardsClientHeaders checks the proxy hop is faithful:
 // end-to-end headers (auth, accept) reach the backend, hop-by-hop
-// headers and anything named by Connection are stripped, and a
-// client-forged instance-key header never survives — the gateway's own
-// derivation wins.
+// headers and anything named by Connection are stripped.
 func TestGatewayForwardsClientHeaders(t *testing.T) {
 	var seen atomic.Value // http.Header
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -573,7 +565,6 @@ func TestGatewayForwardsClientHeaders(t *testing.T) {
 	req.Header.Set("Accept", "application/json")
 	req.Header.Set("X-Custom-Conn", "dropme")
 	req.Header.Set("Connection", "X-Custom-Conn")
-	req.Header.Set(HeaderInstanceKey, strings.Repeat("a", 64)) // forged
 	rec := httptest.NewRecorder()
 	g.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
@@ -589,9 +580,5 @@ func TestGatewayForwardsClientHeaders(t *testing.T) {
 	}
 	if got.Get("X-Custom-Conn") != "" || got.Get("Connection") != "" {
 		t.Fatalf("hop-by-hop headers forwarded: %v", got)
-	}
-	wantKey := solver.InstanceKey(solver.KindHypergraph, graphio.FormatAuto.String(), []byte(body))
-	if got.Get(HeaderInstanceKey) != wantKey {
-		t.Fatalf("instance key %q reached the backend, want the gateway's %q", got.Get(HeaderInstanceKey), wantKey)
 	}
 }

@@ -1,14 +1,13 @@
 package cluster
 
 // proxy.go is the gateway's HTTP surface: it terminates the client
-// request, derives the instance cache key from the buffered body (the
-// same sha256 the backend's solver would compute — forwarded in
-// X-Pslocal-Instance-Key so the backend skips re-hashing), walks the
-// balancer's attempt plan with bounded retry, and reports the serving
-// backend in X-Pslocal-Backend. Every proxied endpoint is idempotent by
-// content-hash semantics — solves are pure functions of the body and
-// job submission dedupes on the job id — which is what makes retrying
-// against the next candidate safe.
+// request, derives the routing key from the buffered body (the same
+// sha256 instance key the backend's solver computes for its cache),
+// walks the balancer's attempt plan with bounded retry, and reports the
+// serving backend in X-Pslocal-Backend. Every proxied endpoint is
+// idempotent by content-hash semantics — solves are pure functions of
+// the body and job submission dedupes on the job id — which is what
+// makes retrying against the next candidate safe.
 
 import (
 	"bytes"
@@ -32,16 +31,9 @@ import (
 	"pslocal/internal/solver"
 )
 
-// Headers of the gateway protocol.
-const (
-	// HeaderInstanceKey carries the precomputed instance cache key from
-	// gateway to backend (trusted: only a gateway that derived the key
-	// from the same bytes should set it).
-	HeaderInstanceKey = "X-Pslocal-Instance-Key"
-	// HeaderBackend reports which backend served a proxied request back
-	// to the client.
-	HeaderBackend = "X-Pslocal-Backend"
-)
+// HeaderBackend reports which backend served a proxied request back to
+// the client.
+const HeaderBackend = "X-Pslocal-Backend"
 
 // Config configures a Gateway.
 type Config struct {
@@ -146,9 +138,9 @@ func New(cfg Config) (*Gateway, error) {
 		}(),
 	}
 	g.met = newGatewayMetrics(g)
-	g.mux.HandleFunc("POST /v1/reduce", g.solveHandler(solver.KindHypergraph, true))
-	g.mux.HandleFunc("POST /v1/maxis", g.solveHandler(solver.KindGraph, true))
-	g.mux.HandleFunc("POST /v1/jobs", g.solveHandler(solver.KindHypergraph, false))
+	g.mux.HandleFunc("POST /v1/reduce", g.solveHandler(solver.KindHypergraph))
+	g.mux.HandleFunc("POST /v1/maxis", g.solveHandler(solver.KindGraph))
+	g.mux.HandleFunc("POST /v1/jobs", g.solveHandler(solver.KindHypergraph))
 	g.mux.HandleFunc("GET /v1/jobs", g.handleJobList)
 	g.mux.HandleFunc("GET /v1/jobs/{id}", g.handleJobByID)
 	g.mux.HandleFunc("DELETE /v1/jobs/{id}", g.handleJobByID)
@@ -281,11 +273,8 @@ func retryableStatus(code int) bool {
 }
 
 // solveHandler proxies one of the POST endpoints. The body is buffered
-// (bounded) both to derive the routing key and to make retry possible;
-// withKey forwards the derived instance key to the backend's keyed
-// readers (the job endpoint routes by the same key but the backend
-// derives its own job identity, so the header stays off there).
-func (g *Gateway) solveHandler(kind string, withKey bool) http.HandlerFunc {
+// (bounded) both to derive the routing key and to make retry possible.
+func (g *Gateway) solveHandler(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		format, err := graphio.ParseFormat(r.URL.Query().Get("format"))
 		if err != nil {
@@ -304,17 +293,12 @@ func (g *Gateway) solveHandler(kind string, withKey bool) http.HandlerFunc {
 			}
 			return
 		}
-		key := solver.InstanceKey(kind, format.String(), body)
-		var hdr http.Header
-		if withKey {
-			hdr = http.Header{HeaderInstanceKey: {key}}
-		}
-		plan := g.bal.plan(key, g.cfg.Policy)
+		plan := g.bal.plan(solver.InstanceKey(kind, format.String(), body), g.cfg.Policy)
 		attempts := g.cfg.Retries + 1
 		if attempts > len(plan) {
 			attempts = len(plan)
 		}
-		g.forward(w, r, plan[:attempts], hdr, body, nil)
+		g.forward(w, r, plan[:attempts], body, nil)
 	}
 }
 
@@ -328,13 +312,12 @@ func (g *Gateway) solveHandler(kind string, withKey bool) http.HandlerFunc {
 func (g *Gateway) handleJobByID(w http.ResponseWriter, r *http.Request) {
 	plan := g.bal.plan(r.PathValue("id"), PolicyAffinity)
 	notFound := func(resp *http.Response) bool { return resp.StatusCode == http.StatusNotFound }
-	g.forward(w, r, plan, nil, nil, notFound)
+	g.forward(w, r, plan, nil, notFound)
 }
 
 // hopByHop are the connection-scoped request headers a proxy must not
 // forward (RFC 9110 §7.6.1); Host and Content-Length belong to the
-// transport, and the instance-key header is the gateway's to set — a
-// client-supplied copy is untrusted and stripped.
+// transport.
 var hopByHop = map[string]bool{
 	"Connection":          true,
 	"Keep-Alive":          true,
@@ -346,7 +329,6 @@ var hopByHop = map[string]bool{
 	"Upgrade":             true,
 	"Host":                true,
 	"Content-Length":      true,
-	HeaderInstanceKey:     true,
 }
 
 // copyClientHeaders forwards the client's request headers onto the
@@ -374,9 +356,8 @@ func copyClientHeaders(dst, src http.Header) {
 // and move on, retryable statuses reroute, 404s reroute when skipNext
 // says so, and the first real answer streams back to the client tagged
 // with its backend. A nil body means "no body to resend" (GET/DELETE).
-// The client's end-to-end headers ride along on every attempt, with hdr
-// overlaid on top (the gateway-owned instance key).
-func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, plan []string, hdr http.Header, body []byte, skipNext func(*http.Response) bool) {
+// The client's end-to-end headers ride along on every attempt.
+func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, plan []string, body []byte, skipNext func(*http.Response) bool) {
 	if len(plan) == 0 {
 		g.met.failures.Inc()
 		w.Header().Set("Retry-After", "1")
@@ -415,9 +396,6 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, plan []string,
 			return
 		}
 		copyClientHeaders(req.Header, r.Header)
-		for k, vs := range hdr {
-			req.Header[k] = vs
-		}
 		attemptStart := time.Now()
 		resp, err := g.client.Do(req)
 		g.observeAttempt(backend, time.Since(attemptStart))

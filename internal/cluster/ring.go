@@ -7,10 +7,10 @@
 // The routing key is the solver's instance cache key (the sha256
 // content hash of kind, format directive and body — solver.InstanceKey),
 // so requests for the same instance land on the same backend and hit
-// its parsed-instance cache; the gateway forwards the key in the
-// X-Pslocal-Instance-Key header so the backend skips re-hashing, and
-// reports which backend served in X-Pslocal-Backend. cmd/cfgate is the
-// CLI wrapper and DESIGN.md ("Cluster mode") records the design.
+// its parsed-instance cache; the backend hashes the body itself for its
+// cache lookup, and the gateway reports which backend served in
+// X-Pslocal-Backend. cmd/cfgate is the CLI wrapper and DESIGN.md
+// ("Cluster mode") records the design.
 package cluster
 
 import (

@@ -11,10 +11,11 @@ package graphio
 // Vertex-declaration lines start with the keyword "v" and carry an
 // optional weight column (default 1); writers emit them only for
 // non-unit weights, so unweighted instances round-trip byte-identically
-// to the historical format. The syntax otherwise matches the files
-// internal/encode historically produced, so existing instances keep
-// working; this reader is stricter in that graph inputs with duplicate
-// edges are rejected (ErrDuplicateEdge) instead of silently merged.
+// to the historical format. The syntax otherwise matches the legacy
+// plain-text instance files (TestEncodeCompat pins them), so existing
+// instances keep working; this reader is stricter in that graph inputs
+// with duplicate edges are rejected (ErrDuplicateEdge) instead of
+// silently merged.
 
 import (
 	"bufio"

@@ -5,8 +5,7 @@
 //
 //   - FormatEdgeList: the repository's native plain-text format
 //     ("graph n m" / "hypergraph n m" header, one edge per line, '#'
-//     comments), compatible with the files internal/encode historically
-//     produced;
+//     comments), compatible with the legacy plain-text instance files;
 //   - FormatDIMACS: the DIMACS .col graph-colouring format ("c" comments,
 //     "p edge n m" problem line, 1-based "e u v" edge lines) — graphs
 //     only, hypergraphs have no DIMACS representation;

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"pslocal/internal/core"
-	"pslocal/internal/encode"
 	"pslocal/internal/graph"
 	"pslocal/internal/hypergraph"
 )
@@ -119,33 +118,27 @@ func TestHypergraphDIMACSUnsupported(t *testing.T) {
 	}
 }
 
-// TestEncodeCompat pins the compatibility guarantee: instances written by
-// the legacy internal/encode package parse unchanged through graphio.
+// TestEncodeCompat pins the compatibility guarantee: instance files in
+// the legacy plain-text format (a "<kind> n m" header, one edge per
+// line, '#' comments, blank lines) parse unchanged through graphio.
 func TestEncodeCompat(t *testing.T) {
-	g := graph.Grid(3, 4)
-	var gb bytes.Buffer
-	if err := encode.WriteGraph(&gb, g); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadGraph(&gb, FormatAuto)
+	const legacyGraph = "# a 4-cycle\ngraph 4 4\n0 1\n1 2\n\n2 3\n3 0\n"
+	g, err := ReadGraph(strings.NewReader(legacyGraph), FormatAuto)
 	if err != nil {
-		t.Fatalf("graphio cannot read encode output: %v", err)
+		t.Fatalf("graphio cannot read a legacy graph file: %v", err)
 	}
-	if !graph.Equal(g, got) {
-		t.Error("encode -> graphio round trip changed the graph")
+	if !graph.Equal(g, graph.Cycle(4)) {
+		t.Errorf("legacy graph parsed as %v, want the 4-cycle", g)
 	}
 
-	h := hypergraph.MustNew(5, [][]int32{{0, 1}, {2, 3, 4}})
-	var hb bytes.Buffer
-	if err := encode.WriteHypergraph(&hb, h); err != nil {
-		t.Fatal(err)
-	}
-	hGot, err := ReadHypergraph(&hb, FormatAuto)
+	const legacyHypergraph = "hypergraph 5 2\n0 1\n2 3 4 # last edge\n"
+	h, err := ReadHypergraph(strings.NewReader(legacyHypergraph), FormatAuto)
 	if err != nil {
-		t.Fatalf("graphio cannot read encode hypergraph output: %v", err)
+		t.Fatalf("graphio cannot read a legacy hypergraph file: %v", err)
 	}
-	if hGot.N() != h.N() || !reflect.DeepEqual(hGot.Edges(), h.Edges()) {
-		t.Error("encode -> graphio hypergraph round trip changed the instance")
+	want := hypergraph.MustNew(5, [][]int32{{0, 1}, {2, 3, 4}})
+	if h.N() != want.N() || !reflect.DeepEqual(h.Edges(), want.Edges()) {
+		t.Error("legacy hypergraph file parsed into a different instance")
 	}
 }
 
@@ -159,6 +152,7 @@ func TestMalformedGraphInputs(t *testing.T) {
 		// Edge list.
 		{"edgelist/empty", FormatEdgeList, "", ErrFormat},
 		{"edgelist/truncated header", FormatEdgeList, "graph 5\n0 1\n", ErrFormat},
+		{"edgelist/bad header counts", FormatEdgeList, "graph x y\n", ErrFormat},
 		{"edgelist/wrong kind", FormatEdgeList, "hypergraph 5 1\n0 1\n", ErrFormat},
 		{"edgelist/negative n", FormatEdgeList, "graph -5 0\n", ErrFormat},
 		{"edgelist/count mismatch", FormatEdgeList, "graph 5 2\n0 1\n", ErrFormat},
@@ -210,9 +204,11 @@ func TestMalformedHypergraphInputs(t *testing.T) {
 		input  string
 		want   error
 	}{
+		{"edgelist/empty", FormatEdgeList, "", ErrFormat},
 		{"edgelist/truncated header", FormatEdgeList, "hypergraph 5\n0 1\n", ErrFormat},
 		{"edgelist/wrong kind", FormatEdgeList, "graph 5 1\n0 1\n", ErrFormat},
 		{"edgelist/count mismatch", FormatEdgeList, "hypergraph 5 2\n0 1 2\n", ErrFormat},
+		{"edgelist/bad vertex token", FormatEdgeList, "hypergraph 3 1\n0 x\n", ErrFormat},
 		{"edgelist/vertex overflow", FormatEdgeList, "hypergraph 5 1\n0 1 5000000000\n", ErrFormat},
 		{"edgelist/vertex out of range", FormatEdgeList, "hypergraph 5 1\n0 1 7\n", ErrFormat},
 		{"json/wrong type", FormatJSON, `{"type":"graph","n":3,"edges":[]}`, ErrFormat},

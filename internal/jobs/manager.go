@@ -653,7 +653,6 @@ func (m *Manager) run(j *job) {
 	m.met.waitNS.Add(int64(wait))
 	m.met.started.Add(1)
 	m.met.running.Add(1)
-	defer m.met.running.Add(-1)
 
 	sv := m.base.With(j.req.Params.options()...)
 	// Job tracing is on only when the manager has a ring to publish into:
@@ -715,6 +714,9 @@ func (m *Manager) run(j *job) {
 		m.met.failed.Add(1)
 	}
 	m.met.runNS.Add(int64(finished.Sub(started)))
+	// The gauge drops before publishLocked announces the terminal state,
+	// so a watcher woken by that event never reads a stale running count.
+	m.met.running.Add(-1)
 	m.met.finished.Add(1)
 	// Terminal jobs stop pinning their request body (a resubmission
 	// brings a fresh one), and a persisted result lives in the store —

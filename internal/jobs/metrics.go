@@ -83,7 +83,10 @@ func (s Stats) MeanRunMS() float64 {
 }
 
 // snapshot assembles a Stats from the counters plus the live gauges.
+// Finished is loaded before Started: every job bumps started before
+// finished, so that order keeps Started >= Finished in every snapshot.
 func (m *metrics) snapshot(queueDepth, queueCap, workers int, draining bool) Stats {
+	finished := m.finished.Load()
 	return Stats{
 		Submitted:  m.submitted.Load(),
 		Deduped:    m.deduped.Load(),
@@ -99,7 +102,7 @@ func (m *metrics) snapshot(queueDepth, queueCap, workers int, draining bool) Sta
 		Running:    int(m.running.Load()),
 		Workers:    workers,
 		Started:    m.started.Load(),
-		Finished:   m.finished.Load(),
+		Finished:   finished,
 		WaitSumMS:  float64(m.waitNS.Load()) / 1e6,
 		RunSumMS:   float64(m.runNS.Load()) / 1e6,
 	}

@@ -2,7 +2,6 @@ package jobs
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"time"
 )
@@ -128,29 +127,36 @@ func TestQueuePopBlocksUntilPushOrClose(t *testing.T) {
 		t.Fatal("pop never woke after push")
 	}
 
-	// Close wakes every blocked popper with ok=false, even with items left.
-	if err := q.push(qjob("left", PriorityNormal)); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
+	// Close wakes every blocked popper with ok=false.
 	results := make(chan bool, 3)
 	for range 3 {
-		wg.Add(1)
 		go func() {
-			defer wg.Done()
 			_, ok := q.pop()
 			results <- ok
 		}()
 	}
+	select {
+	case <-results:
+		t.Fatal("pop returned on an empty open queue")
+	case <-time.After(20 * time.Millisecond):
+	}
 	q.close()
-	wg.Wait()
-	close(results)
-	for ok := range results {
-		if ok {
+	for range 3 {
+		if <-results {
 			t.Error("pop returned an item after close")
 		}
 	}
 	if err := q.push(qjob("y", PriorityNormal)); !errors.Is(err, ErrClosed) {
 		t.Errorf("push after close error = %v, want ErrClosed", err)
+	}
+
+	// A closed queue pops nothing, even with items left in it.
+	q = newQueue(4)
+	if err := q.push(qjob("left", PriorityNormal)); err != nil {
+		t.Fatal(err)
+	}
+	q.close()
+	if j, ok := q.pop(); ok {
+		t.Errorf("pop returned %q from a closed queue", j.info.Label)
 	}
 }

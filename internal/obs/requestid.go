@@ -2,8 +2,8 @@ package obs
 
 // requestid.go is the request-id propagation contract: cfgate mints an
 // id per request (accepting a caller-supplied one when it is shaped like
-// an id), forwards it to the backend next to the instance-key header,
-// cfserve echoes it and stamps it on traces and job metadata. The trust
+// an id), forwards it to the backend on every proxy attempt, cfserve
+// echoes it and stamps it on traces and job metadata. The trust
 // boundary sits at the gateway: anything not matching ValidRequestID is
 // replaced, so backends and logs only ever see bounded, log-safe ids.
 
@@ -14,7 +14,7 @@ import (
 )
 
 // RequestIDHeader carries the request id across the cluster, next to
-// X-Pslocal-Instance-Key and X-Pslocal-Backend.
+// X-Pslocal-Backend.
 const RequestIDHeader = "X-Pslocal-Request-Id"
 
 // requestIDBytes is the entropy of a minted id (rendered as 2x hex

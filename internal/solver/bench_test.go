@@ -34,14 +34,14 @@ func BenchmarkSolverCacheHitAllocs(b *testing.B) {
 	body := benchGraphBody(b, 256, 0.3)
 	r := bytes.NewReader(body)
 	var inst Instance
-	if _, _, err := s.readGraphInto(context.Background(), r, graphio.FormatEdgeList, &inst, ""); err != nil {
+	if _, _, err := s.readGraphInto(context.Background(), r, graphio.FormatEdgeList, &inst); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Reset(body)
-		if _, _, err := s.readGraphInto(context.Background(), r, graphio.FormatEdgeList, &inst, ""); err != nil {
+		if _, _, err := s.readGraphInto(context.Background(), r, graphio.FormatEdgeList, &inst); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -79,14 +79,14 @@ func BenchmarkSolverCacheHitAllocsWeighted(b *testing.B) {
 	body := benchWeightedGraphBody(b, 256, 0.3)
 	r := bytes.NewReader(body)
 	var inst Instance
-	if _, _, err := s.readGraphInto(context.Background(), r, graphio.FormatEdgeList, &inst, ""); err != nil {
+	if _, _, err := s.readGraphInto(context.Background(), r, graphio.FormatEdgeList, &inst); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Reset(body)
-		if _, _, err := s.readGraphInto(context.Background(), r, graphio.FormatEdgeList, &inst, ""); err != nil {
+		if _, _, err := s.readGraphInto(context.Background(), r, graphio.FormatEdgeList, &inst); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -151,19 +151,19 @@ func TestCacheHitReadAllocatesNothing(t *testing.T) {
 	body := benchGraphBody(t, 64, 0.3)
 	r := bytes.NewReader(body)
 	var inst Instance
-	if _, _, err := s.readGraphInto(context.Background(), r, graphio.FormatEdgeList, &inst, ""); err != nil {
+	if _, _, err := s.readGraphInto(context.Background(), r, graphio.FormatEdgeList, &inst); err != nil {
 		t.Fatal(err)
 	}
 	// Warm the scratch pool so steady state, not first touch, is measured.
 	for i := 0; i < 4; i++ {
 		r.Reset(body)
-		if _, _, err := s.readGraphInto(context.Background(), r, graphio.FormatEdgeList, &inst, ""); err != nil {
+		if _, _, err := s.readGraphInto(context.Background(), r, graphio.FormatEdgeList, &inst); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(50, func() {
 		r.Reset(body)
-		if _, _, err := s.readGraphInto(context.Background(), r, graphio.FormatEdgeList, &inst, ""); err != nil {
+		if _, _, err := s.readGraphInto(context.Background(), r, graphio.FormatEdgeList, &inst); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -186,18 +186,18 @@ func TestWeightedCacheHitReadAllocatesNothing(t *testing.T) {
 	body := benchWeightedGraphBody(t, 64, 0.3)
 	r := bytes.NewReader(body)
 	var inst Instance
-	if _, _, err := s.readGraphInto(context.Background(), r, graphio.FormatEdgeList, &inst, ""); err != nil {
+	if _, _, err := s.readGraphInto(context.Background(), r, graphio.FormatEdgeList, &inst); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
 		r.Reset(body)
-		if _, _, err := s.readGraphInto(context.Background(), r, graphio.FormatEdgeList, &inst, ""); err != nil {
+		if _, _, err := s.readGraphInto(context.Background(), r, graphio.FormatEdgeList, &inst); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(50, func() {
 		r.Reset(body)
-		if _, _, err := s.readGraphInto(context.Background(), r, graphio.FormatEdgeList, &inst, ""); err != nil {
+		if _, _, err := s.readGraphInto(context.Background(), r, graphio.FormatEdgeList, &inst); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -220,7 +220,7 @@ func BenchmarkSolverCacheHitAllocsTraced(b *testing.B) {
 	var inst Instance
 	tr := obs.NewTrace("bench", "bench-req-id")
 	ctx := obs.ContextWithTrace(context.Background(), tr)
-	if _, _, err := s.readGraphInto(ctx, r, graphio.FormatEdgeList, &inst, ""); err != nil {
+	if _, _, err := s.readGraphInto(ctx, r, graphio.FormatEdgeList, &inst); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -228,7 +228,7 @@ func BenchmarkSolverCacheHitAllocsTraced(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr.Reset("bench", "bench-req-id")
 		r.Reset(body)
-		if _, _, err := s.readGraphInto(ctx, r, graphio.FormatEdgeList, &inst, ""); err != nil {
+		if _, _, err := s.readGraphInto(ctx, r, graphio.FormatEdgeList, &inst); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -250,20 +250,20 @@ func TestTracedCacheHitReadAllocatesNothing(t *testing.T) {
 	var inst Instance
 	tr := obs.NewTrace("alloc", "alloc-req-id")
 	ctx := obs.ContextWithTrace(context.Background(), tr)
-	if _, _, err := s.readGraphInto(ctx, r, graphio.FormatEdgeList, &inst, ""); err != nil {
+	if _, _, err := s.readGraphInto(ctx, r, graphio.FormatEdgeList, &inst); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
 		tr.Reset("alloc", "alloc-req-id")
 		r.Reset(body)
-		if _, _, err := s.readGraphInto(ctx, r, graphio.FormatEdgeList, &inst, ""); err != nil {
+		if _, _, err := s.readGraphInto(ctx, r, graphio.FormatEdgeList, &inst); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(50, func() {
 		tr.Reset("alloc", "alloc-req-id")
 		r.Reset(body)
-		if _, _, err := s.readGraphInto(ctx, r, graphio.FormatEdgeList, &inst, ""); err != nil {
+		if _, _, err := s.readGraphInto(ctx, r, graphio.FormatEdgeList, &inst); err != nil {
 			t.Fatal(err)
 		}
 	})

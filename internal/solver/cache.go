@@ -35,8 +35,8 @@ func cacheKey(kind, format string, body []byte) string {
 // would compute for body: the hex sha256 over the substrate kind
 // (KindHypergraph for the reduction endpoints, KindGraph for MaxIS), the
 // canonical format directive (graphio.Format.String()), and the raw
-// bytes. A gateway that buffers request bodies anyway computes it once
-// and forwards it, so the backend's keyed readers skip re-hashing.
+// bytes. cfgate routes on it, so one instance always lands on the
+// backend whose cache holds it.
 func InstanceKey(kind, format string, body []byte) string {
 	return cacheKey(kind, format, body)
 }
@@ -47,21 +47,6 @@ const (
 	KindHypergraph = "hypergraph"
 	KindGraph      = "graph"
 )
-
-// validInstanceKey reports whether s has the shape of an instance key:
-// 64 lowercase hex digits. Keyed readers silently ignore anything else.
-func validInstanceKey(s string) bool {
-	if len(s) != 64 {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
 
 // instanceCache is a mutex-guarded LRU from content hash to parsed
 // instance (*graph.Graph or *hypergraph.Hypergraph).
@@ -93,17 +78,11 @@ func newInstanceCache(capacity int) *instanceCache {
 	}
 }
 
-// get returns the cached instance for key, promoting it to
-// most-recently-used, and records the hit or miss.
-func (c *instanceCache) get(key string) (any, bool) {
-	v, _, ok := c.getBytes([]byte(key))
-	return v, ok
-}
-
-// getBytes is get keyed by raw bytes: the map access compiles without
-// materialising a key string, and a hit returns the entry's canonical key
-// so the caller never allocates one either — the cache-hit serve path
-// stays at 0 allocs/op.
+// getBytes returns the cached instance for key, promoting it to
+// most-recently-used, and records the hit or miss. It is keyed by raw
+// bytes: the map access compiles without materialising a key string, and
+// a hit returns the entry's canonical key so the caller never allocates
+// one either — the cache-hit serve path stays at 0 allocs/op.
 func (c *instanceCache) getBytes(key []byte) (val any, canonical string, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

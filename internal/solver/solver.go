@@ -6,8 +6,9 @@
 // cooperatively; cancellation surfaces as ErrCancelled.
 //
 // The Solver is what the public facade re-exports as pslocal.Solver and
-// what cmd/cfserve serves requests through; the previous flat facade
-// functions remain as deprecated wrappers. DESIGN.md ("Solver and
+// what cmd/cfserve serves requests through. Serialized instances enter
+// through one reader per kind (SolveReader, MaxISReader), which always
+// hashes the body itself for the cache lookup. DESIGN.md ("Solver and
 // instance cache") records the design.
 package solver
 
@@ -501,22 +502,12 @@ func (i *Instance) Weighted() bool {
 // runs Solve on the result. Admission happens before the body is read, so
 // parsing and CSR construction are bounded by the gate too.
 func (s *Solver) SolveReader(ctx context.Context, r io.Reader, f graphio.Format) (*core.Result, *Instance, error) {
-	return s.SolveReaderKeyed(ctx, r, f, "")
-}
-
-// SolveReaderKeyed is SolveReader with a precomputed instance key (see
-// InstanceKey). A valid key spares the backend the body hash; a key
-// already in the cache spares it the body buffering too (the reader is
-// drained, never parsed). Keys are trusted to match the body — the
-// caller is a gateway that derived them from the same bytes — and
-// anything not shaped like a key is ignored. Empty means "compute here".
-func (s *Solver) SolveReaderKeyed(ctx context.Context, r io.Reader, f graphio.Format, key string) (*core.Result, *Instance, error) {
 	if err := s.acquire(ctx); err != nil {
 		return nil, nil, err
 	}
 	defer s.release()
 	inst := new(Instance)
-	h, err := s.readHypergraphInto(ctx, r, f, inst, key)
+	h, err := s.readHypergraphInto(ctx, r, f, inst)
 	if err != nil {
 		return nil, nil, wrapCancelled(ctx, err)
 	}
@@ -530,18 +521,12 @@ func (s *Solver) SolveReaderKeyed(ctx context.Context, r io.Reader, f graphio.Fo
 // MaxISReader is MaxIS over a serialized graph, with the same caching and
 // admission behaviour as SolveReader.
 func (s *Solver) MaxISReader(ctx context.Context, r io.Reader, f graphio.Format) (*ISResult, *Instance, error) {
-	return s.MaxISReaderKeyed(ctx, r, f, "")
-}
-
-// MaxISReaderKeyed is MaxISReader with a precomputed instance key,
-// under SolveReaderKeyed's contract.
-func (s *Solver) MaxISReaderKeyed(ctx context.Context, r io.Reader, f graphio.Format, key string) (*ISResult, *Instance, error) {
 	if err := s.acquire(ctx); err != nil {
 		return nil, nil, err
 	}
 	defer s.release()
 	inst := new(Instance)
-	g, cg, err := s.readGraphInto(ctx, r, f, inst, key)
+	g, cg, err := s.readGraphInto(ctx, r, f, inst)
 	if err != nil {
 		return nil, nil, wrapCancelled(ctx, err)
 	}
@@ -578,38 +563,13 @@ func dimsHypergraphEntry(v any) (int, int) {
 	return h.N(), h.M()
 }
 
-// kindMatches reports whether a cached value is of the substrate a
-// preset-keyed lookup expects. Keys embed the kind at hash time, but a
-// preset key is caller-supplied — without this check a forged key cached
-// under the other substrate would cross endpoints.
-func kindMatches(kind string, v any) bool {
-	switch v.(type) {
-	case *hypergraph.Hypergraph:
-		return kind == KindHypergraph
-	case *cachedGraph:
-		return kind == KindGraph
-	}
-	return false
-}
-
 // readInstance funnels both substrates through one cache flow, filling
 // the caller-owned inst in place. With a cache the body lands in pooled
 // scratch and is hashed through pooled sha256 state (the key is the whole
 // point), and a hit borrows the entry's canonical key string — the whole
 // hit path allocates nothing. Without a cache the reader streams straight
 // into graphio and Instance.Key stays empty — no buffering, no hashing.
-//
-// A valid presetKey shortcuts only on a cache hit: the body is drained
-// without buffering or hashing and the entry's canonical key is
-// borrowed. On a miss (or a wrong-substrate entry) the request falls
-// through to the hashing flow — the preset key is never used as a cache
-// write key, because caching a body under a caller-supplied key without
-// verifying they match would let one forged request (body A sent with
-// key(B)) poison the cache for every later honest request for B. An
-// honest gateway's preset key equals the computed hash, so the entry
-// still lands under the forwarded key; a forged key merely costs its
-// sender the sha256 it tried to skip.
-func (s *Solver) readInstance(ctx context.Context, r io.Reader, f graphio.Format, kind string, inst *Instance, presetKey string,
+func (s *Solver) readInstance(ctx context.Context, r io.Reader, f graphio.Format, kind string, inst *Instance,
 	parse func(io.Reader, graphio.Format) (any, error),
 	dims func(any) (int, int)) (any, error) {
 	tr := obs.TraceFrom(ctx)
@@ -625,28 +585,6 @@ func (s *Solver) readInstance(ctx context.Context, r io.Reader, f graphio.Format
 		inst.value = v
 		sp.SetDims(inst.N, inst.M)
 		return v, nil
-	}
-	if presetKey != "" && validInstanceKey(presetKey) {
-		if cached, ok := s.cache.get(presetKey); ok && kindMatches(kind, cached) {
-			sp := tr.Start("read_body")
-			sp.SetDetail("drain")
-			// The body is never parsed; drain it so the connection
-			// stays reusable.
-			_, err := io.Copy(io.Discard, r)
-			sp.End()
-			if err != nil {
-				return nil, fmt.Errorf("%w: %w", ErrReadInstance, err)
-			}
-			inst.Key = presetKey
-			inst.CacheHit = true
-			inst.N, inst.M = dims(cached)
-			inst.value = cached
-			hit := tr.Start("cache_lookup")
-			hit.SetDetail("hit")
-			hit.SetDims(inst.N, inst.M)
-			hit.End()
-			return cached, nil
-		}
 	}
 	sc := grabServeScratch()
 	defer releaseServeScratch(sc)
@@ -686,8 +624,8 @@ func (s *Solver) readInstance(ctx context.Context, r io.Reader, f graphio.Format
 }
 
 // readHypergraphInto parses a hypergraph through the cache.
-func (s *Solver) readHypergraphInto(ctx context.Context, r io.Reader, f graphio.Format, inst *Instance, presetKey string) (*hypergraph.Hypergraph, error) {
-	v, err := s.readInstance(ctx, r, f, KindHypergraph, inst, presetKey, parseHypergraphEntry, dimsHypergraphEntry)
+func (s *Solver) readHypergraphInto(ctx context.Context, r io.Reader, f graphio.Format, inst *Instance) (*hypergraph.Hypergraph, error) {
+	v, err := s.readInstance(ctx, r, f, KindHypergraph, inst, parseHypergraphEntry, dimsHypergraphEntry)
 	if err != nil {
 		return nil, err
 	}
@@ -696,8 +634,8 @@ func (s *Solver) readHypergraphInto(ctx context.Context, r io.Reader, f graphio.
 
 // readGraphInto parses a graph through the cache, returning both the CSR
 // and the cache entry that lazily owns its packed bitset adjacency.
-func (s *Solver) readGraphInto(ctx context.Context, r io.Reader, f graphio.Format, inst *Instance, presetKey string) (*graph.Graph, *cachedGraph, error) {
-	v, err := s.readInstance(ctx, r, f, KindGraph, inst, presetKey, parseGraphEntry, dimsGraphEntry)
+func (s *Solver) readGraphInto(ctx context.Context, r io.Reader, f graphio.Format, inst *Instance) (*graph.Graph, *cachedGraph, error) {
+	v, err := s.readInstance(ctx, r, f, KindGraph, inst, parseGraphEntry, dimsGraphEntry)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -473,14 +473,14 @@ func TestCacheEviction(t *testing.T) {
 	c := newInstanceCache(2)
 	c.put("a", 1)
 	c.put("b", 2)
-	if _, ok := c.get("a"); !ok {
+	if _, _, ok := c.getBytes([]byte("a")); !ok {
 		t.Fatal("a should be cached")
 	}
 	c.put("c", 3) // evicts b, the least recently used
-	if _, ok := c.get("b"); ok {
+	if _, _, ok := c.getBytes([]byte("b")); ok {
 		t.Error("b should have been evicted")
 	}
-	if _, ok := c.get("a"); !ok {
+	if _, _, ok := c.getBytes([]byte("a")); !ok {
 		t.Error("a should have survived (recently used)")
 	}
 	st := c.snapshot()
@@ -499,6 +499,19 @@ func TestCacheKeySeparatesKindAndFormat(t *testing.T) {
 	}
 	if len(keys) != 4 {
 		t.Errorf("cache keys collide: %d distinct, want 4", len(keys))
+	}
+}
+
+func TestInstanceKeyMatchesReaderKey(t *testing.T) {
+	_, body := testInstance(t, 7)
+	sv := New(WithK(2), WithCache(4))
+	_, inst, err := sv.SolveReader(context.Background(), bytes.NewReader(body), graphio.FormatAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := InstanceKey(KindHypergraph, graphio.FormatAuto.String(), body)
+	if inst.Key != want {
+		t.Fatalf("InstanceKey = %s, reader computed %s", want, inst.Key)
 	}
 }
 

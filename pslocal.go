@@ -26,9 +26,6 @@
 //	res, _ := sv.Solve(ctx, h)
 //	err := pslocal.VerifyReduction(h, res) // nil: conflict-free multicolouring
 //	_ = planted
-//
-// The flat solve functions (Reduce, ExactMaxIS, BallCarvingMaxIS, ...)
-// predate the Solver and remain as thin deprecated wrappers.
 package pslocal
 
 import (
@@ -230,8 +227,6 @@ func ISToColoring(ix *ConflictIndex, is []Triple) (Coloring, error) {
 
 // The Theorem 1.1 reduction.
 type (
-	// ReduceOptions configures the reduction.
-	ReduceOptions = core.Options
 	// ReduceResult is the reduction outcome with per-phase statistics.
 	ReduceResult = core.Result
 	// PhaseStat records one reduction phase.
@@ -242,22 +237,13 @@ type (
 
 // Reduction modes.
 const (
-	// ModeOracle materialises G_k and runs ReduceOptions.Oracle on it.
+	// ModeOracle materialises G_k and runs the selected oracle on it.
 	ModeOracle = core.ModeOracle
 	// ModeExactHinted solves each phase exactly (λ = 1).
 	ModeExactHinted = core.ModeExactHinted
 	// ModeImplicitFirstFit greedily solves the implicit G_k (scalable).
 	ModeImplicitFirstFit = core.ModeImplicitFirstFit
 )
-
-// Reduce runs conflict-free multicolouring via iterated approximate MaxIS.
-//
-// Deprecated: construct a Solver and call [Solver.Solve] — it carries the
-// configuration once, admits a per-call context, and shares the instance
-// cache: NewSolver(WithK(3)).Solve(ctx, h).
-func Reduce(h *Hypergraph, opts ReduceOptions) (*ReduceResult, error) {
-	return core.Reduce(nil, h, opts)
-}
 
 // PhaseBound returns the paper's ρ = λ·ln(m)+1 phase bound.
 func PhaseBound(lambda float64, m int) int { return core.PhaseBound(lambda, m) }
@@ -273,13 +259,8 @@ func ReduceLocalRandomized(h *Hypergraph, k int, seed int64) (*LocalReduceResult
 	return core.ReduceLocalRandomized(nil, h, k, seed)
 }
 
-// MaxIS oracles (substrate S5).
-type (
-	// Oracle is a MaxIS approximation algorithm.
-	Oracle = maxis.Oracle
-	// ExactOptions tunes the exact solver.
-	ExactOptions = maxis.ExactOptions
-)
+// Oracle is a MaxIS approximation algorithm (substrate S5).
+type Oracle = maxis.Oracle
 
 // OracleFactory constructs a named oracle; deterministic oracles ignore
 // the seed.
@@ -292,8 +273,8 @@ type OracleFactory = maxis.Factory
 type OraclePortfolio = maxis.Portfolio
 
 // NewOraclePortfolio builds a portfolio over the given members; configure
-// its fan-out with SetEngine (a non-zero ReduceOptions.Engine overrides
-// it inside Reduce).
+// its fan-out with SetEngine (a Solver running it overrides that with its
+// own WithWorkers pool).
 func NewOraclePortfolio(members ...Oracle) (*OraclePortfolio, error) {
 	return maxis.NewPortfolio(members...)
 }
@@ -318,27 +299,9 @@ func VerifyWeightedIndependentSet(g *Graph, nodes []int32, reported int64) error
 }
 
 // GreedyWeightedMaxIS returns the weight/(degree+1)-ordered greedy
-// independent set — the weighted counterpart of GreedyMaxIS (identical
-// to it on unweighted graphs up to tie order).
+// independent set — the weighted counterpart of the "greedy-mindeg"
+// oracle (identical to it on unweighted graphs up to tie order).
 func GreedyWeightedMaxIS(g *Graph) []int32 { return maxis.GreedyWeighted(g) }
-
-// ExactMaxIS returns a maximum independent set.
-//
-// Deprecated: use NewSolver(WithOracle("exact")).MaxIS(ctx, g) — the
-// Solver path admits a context, so the branch-and-bound cancels
-// cooperatively.
-func ExactMaxIS(g *Graph) ([]int32, error) { return maxis.Exact(g) }
-
-// GreedyMaxIS returns the min-degree greedy independent set.
-//
-// Deprecated: use NewSolver().MaxIS(ctx, g) — "greedy-mindeg" is the
-// Solver's default MaxIS oracle.
-func GreedyMaxIS(g *Graph) []int32 { return maxis.GreedyMinDegree(g) }
-
-// CliqueRemovalMaxIS returns the Boppana–Halldórsson independent set.
-//
-// Deprecated: use NewSolver(WithOracle("clique-removal")).MaxIS(ctx, g).
-func CliqueRemovalMaxIS(g *Graph) []int32 { return maxis.CliqueRemoval(g) }
 
 // Model simulators (substrates S3, S4, S6, S7).
 type (
@@ -346,10 +309,6 @@ type (
 	LocalOptions = local.Options
 	// LocalResult reports rounds, messages and outputs.
 	LocalResult = local.Result
-	// CarvingOptions configures the SLOCAL ball-carving MaxIS.
-	CarvingOptions = slocal.CarvingOptions
-	// CarvingResult reports the carved independent set and locality.
-	CarvingResult = slocal.CarvingResult
 	// Decomposition is a (C, D) network decomposition.
 	Decomposition = slocal.Decomposition
 )
@@ -363,17 +322,6 @@ func LubyMIS(g *Graph, seed int64, opts LocalOptions) ([]int32, *LocalResult, er
 // introduction and reports the measured locality.
 func SLOCALGreedyMIS(g *Graph, order []int32) ([]int32, *slocal.Result, error) {
 	return slocal.GreedyMIS(g, order)
-}
-
-// BallCarvingMaxIS runs the SLOCAL (1+δ)-approximation (containment
-// direction of Theorem 1.1).
-//
-// Deprecated: use NewSolver(WithCarving(delta)).MaxIS(ctx, g) — the same
-// algorithm behind the Solver handle, with budgeted per-ball exact solves
-// and cooperative cancellation. Direct slocal access via this wrapper
-// remains for callers that need a custom Inner solver or Order.
-func BallCarvingMaxIS(g *Graph, opts CarvingOptions) (*CarvingResult, error) {
-	return slocal.BallCarvingMaxIS(g, opts)
 }
 
 // NetworkDecomposition carves a (O(log n), O(log n)) decomposition.

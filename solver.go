@@ -3,9 +3,7 @@ package pslocal
 // solver.go re-exports the context-first Solver API (internal/solver):
 // one configurable entry point constructed once via functional options,
 // owning the execution engine, the oracle selection, a bounded admission
-// gate, and a content-hash-keyed cache of parsed instances. The flat
-// functions of pslocal.go predate it and remain as thin deprecated
-// wrappers.
+// gate, and a content-hash-keyed cache of parsed instances.
 //
 //	sv := pslocal.NewSolver(pslocal.WithK(3), pslocal.WithWorkers(0),
 //		pslocal.WithOracle("greedy-mindeg"), pslocal.WithCache(128))
@@ -17,7 +15,6 @@ package pslocal
 
 import (
 	"context"
-	"io"
 
 	"pslocal/internal/hypergraph"
 	"pslocal/internal/solver"
@@ -97,24 +94,10 @@ const (
 // InstanceKey returns the Solver's instance cache key for a raw body:
 // the hex sha256 content hash of kind (KindHypergraph or KindGraph),
 // the canonical format directive and the body bytes. The cluster
-// gateway computes it once per request to route by cache affinity and
-// forwards it in HeaderInstanceKey; [Solver.SolveReaderKeyed] and
-// [Solver.MaxISReaderKeyed] accept it to skip re-hashing.
+// gateway computes it once per request to route by cache affinity; the
+// backend computes it again for its own cache lookup.
 func InstanceKey(kind, format string, body []byte) string {
 	return solver.InstanceKey(kind, format, body)
-}
-
-// SolveHypergraphs is a convenience over [Solver.SolveBatch] for one-shot
-// batch reductions on a throwaway Solver.
-func SolveHypergraphs(ctx context.Context, hs []*Hypergraph, opts ...SolverOption) ([]*ReduceResult, error) {
-	return NewSolver(opts...).SolveBatch(ctx, hs)
-}
-
-// SolveHypergraphReader is a convenience over [Solver.SolveReader] for
-// one-shot file/stream reductions on a throwaway Solver.
-func SolveHypergraphReader(ctx context.Context, r io.Reader, f GraphFormat, opts ...SolverOption) (*ReduceResult, error) {
-	res, _, err := NewSolver(opts...).SolveReader(ctx, r, f)
-	return res, err
 }
 
 // compile-time check that the facade aliases line up with the internal
