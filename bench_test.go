@@ -126,6 +126,26 @@ func BenchmarkConflictGraphBuildLargeParallel(b *testing.B) {
 	benchBuildLarge(b, engine.Parallel())
 }
 
+// BenchmarkConflictGraphBuildCold builds G_k of a cold /v1/reduce
+// instance of the serving benchmark: PlantedCF(350, 350, 3, 2, 3), k=3,
+// serial, as cfserve's per-request solve does.
+func BenchmarkConflictGraphBuildCold(b *testing.B) {
+	h, _, err := hypergraph.PlantedCF(350, 350, 3, 2, 3, rand.New(rand.NewSource(5)))
+	if err != nil {
+		b.Fatalf("generator: %v", err)
+	}
+	ix, err := core.NewIndex(h, 3)
+	if err != nil {
+		b.Fatalf("index: %v", err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := core.BuildOpts(ix, engine.Options{Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkImplicitFirstFit(b *testing.B) {
 	_, ix := benchInstance(b, 20, 3)
 	b.ReportAllocs()

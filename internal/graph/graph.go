@@ -252,8 +252,8 @@ func (b *Builder) AddEdge(u, v int32) {
 }
 
 // Build assembles the graph through the two-pass CSR assembler (count
-// degrees, prefix-sum, scatter, per-node sort+dedupe — see DESIGN.md,
-// "Execution engine"). After Build the builder can be reused only by
+// degrees, prefix-sum, scatter, counting transpose + dedupe — see
+// DESIGN.md, "Execution engine"). After Build the builder can be reused only by
 // discarding it; Build does not reset internal state.
 func (b *Builder) Build() (*Graph, error) {
 	return assembleCSR(b.n, []*Builder{b}, engine.Options{Workers: 1})

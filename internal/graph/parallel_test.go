@@ -3,8 +3,11 @@ package graph
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"pslocal/internal/engine"
 )
@@ -149,5 +152,77 @@ func TestParallelBuildNoDuplicatesFastPath(t *testing.T) {
 	}
 	if g.M() != 3 {
 		t.Errorf("M = %d, want 3", g.M())
+	}
+}
+
+// TestParallelBuildMatchesSortReference holds the sharded assembler to
+// the naive definition of the CSR it must produce: every node's emitted
+// neighbours, sorted and compacted one node at a time. Edge multisets
+// on up to 64 nodes repeat edges in both orientations; some carry
+// weights, and some carry self loops and out-of-range endpoints, whose
+// joined error must read exactly as the shards' emission order implies.
+func TestParallelBuildMatchesSortReference(t *testing.T) {
+	check := func(seed int64, nodes, shards, workers uint8, weighted, invalid bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + int(nodes)%64
+		w := 1 + int(shards)%4
+		edges := randomEdges(n, rng.Intn(4*n+1), rng)
+		sb := NewShardedBuilder(n, w)
+		adj := make([][]int32, n)
+		var wantErrs []error
+		for i, e := range edges {
+			sh := i % w
+			if invalid && rng.Intn(8) == 0 {
+				// Swap in a self loop or an out-of-range endpoint.
+				if rng.Intn(2) == 0 {
+					e[1] = e[0]
+					wantErrs = append(wantErrs, fmt.Errorf("%w: node %d", ErrSelfLoop, e[0]))
+				} else {
+					e[1] = int32(n + rng.Intn(3))
+					wantErrs = append(wantErrs, fmt.Errorf("%w: edge {%d,%d} with n=%d", ErrNodeRange, e[0], e[1], n))
+				}
+				// Errors join in shard order, so only shard 0 gets them.
+				sh = 0
+			} else {
+				adj[e[0]] = append(adj[e[0]], e[1])
+				adj[e[1]] = append(adj[e[1]], e[0])
+			}
+			sb.Shard(sh).AddEdge(e[0], e[1])
+		}
+		var ws []int64
+		if weighted {
+			ws = make([]int64, n)
+			for v := range ws {
+				ws[v] = rng.Int63n(10)
+			}
+			sb.Shard(w - 1).SetWeights(ws)
+		}
+		got, err := sb.ParallelBuild(engine.Options{Workers: 1 + int(workers)%4})
+		if len(wantErrs) > 0 {
+			if err == nil || err.Error() != errors.Join(wantErrs...).Error() {
+				t.Logf("seed %d: err = %v, want %v", seed, err, errors.Join(wantErrs...))
+				return false
+			}
+			return true
+		}
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		want := &Graph{offsets: make([]int32, n+1)}
+		for v, a := range adj {
+			slices.Sort(a)
+			a = slices.Compact(a)
+			want.targets = append(want.targets, a...)
+			want.offsets[v+1] = int32(len(want.targets))
+		}
+		if slices.ContainsFunc(ws, func(x int64) bool { return x != 1 }) {
+			want.weights = ws
+		}
+		return slices.Equal(got.offsets, want.offsets) && slices.Equal(got.targets, want.targets) &&
+			slices.Equal(got.weights, want.weights)
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
 	}
 }

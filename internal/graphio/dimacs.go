@@ -18,10 +18,9 @@ package graphio
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"pslocal/internal/graph"
 )
@@ -30,20 +29,21 @@ import (
 func readDIMACSGraph(br *bufio.Reader) (*graph.Graph, error) {
 	sc := newScanner(br)
 	var (
-		b     *graph.Builder
-		m     int
-		edges int
-		ln    int
+		b      *graph.Builder
+		m      int
+		edges  int
+		ln     int
+		fields = make([][]byte, 0, 4)
 	)
 	for sc.Scan() {
 		ln++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
 		switch line[0] {
 		case 'c':
-			if line == "c" || line[1] == ' ' || line[1] == '\t' {
+			if len(line) == 1 || line[1] == ' ' || line[1] == '\t' {
 				continue
 			}
 			return nil, fmt.Errorf("%w: line %d: unrecognised line %q", ErrFormat, ln, line)
@@ -51,24 +51,24 @@ func readDIMACSGraph(br *bufio.Reader) (*graph.Graph, error) {
 			if b != nil {
 				return nil, fmt.Errorf("%w: line %d: second problem line", ErrFormat, ln)
 			}
-			fields := strings.Fields(line)
-			if len(fields) != 4 || (fields[1] != "edge" && fields[1] != "col") {
+			fields = appendFields(fields[:0], line)
+			if len(fields) != 4 || (string(fields[1]) != "edge" && string(fields[1]) != "col") {
 				return nil, fmt.Errorf("%w: line %d: problem line %q, want \"p edge n m\"", ErrFormat, ln, line)
 			}
-			n64, err1 := strconv.ParseInt(fields[2], 10, 32)
-			m64, err2 := strconv.ParseInt(fields[3], 10, 64)
+			n64, err1 := parseInt(fields[2], 32)
+			m64, err2 := parseInt(fields[3], 64)
 			if err1 != nil || err2 != nil || n64 < 0 || m64 < 0 {
 				return nil, fmt.Errorf("%w: line %d: problem line %q", ErrFormat, ln, line)
 			}
 			m = int(m64)
 			b = graph.NewBuilder(int(n64))
-			b.EdgeCapacityHint(m)
+			b.EdgeCapacityHint(edgeHint(m))
 		case 'n':
 			if b == nil {
 				return nil, fmt.Errorf("%w: line %d: node line before the problem line", ErrFormat, ln)
 			}
-			fields := strings.Fields(line)
-			if len(fields) != 3 || fields[0] != "n" {
+			fields = appendFields(fields[:0], line)
+			if len(fields) != 3 || string(fields[0]) != "n" {
 				return nil, fmt.Errorf("%w: line %d: want \"n id w\", got %q", ErrFormat, ln, line)
 			}
 			id, err1 := parseVertex(fields[1])
@@ -87,7 +87,7 @@ func readDIMACSGraph(br *bufio.Reader) (*graph.Graph, error) {
 			if b == nil {
 				return nil, fmt.Errorf("%w: line %d: edge before the problem line", ErrFormat, ln)
 			}
-			fields := strings.Fields(line)
+			fields = appendFields(fields[:0], line)
 			if len(fields) != 3 {
 				return nil, fmt.Errorf("%w: line %d: want \"e u v\", got %q", ErrFormat, ln, line)
 			}

@@ -19,10 +19,13 @@ package graphio
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"pslocal/internal/graph"
 	"pslocal/internal/hypergraph"
@@ -36,16 +39,17 @@ func readEdgeListGraph(br *bufio.Reader) (*graph.Graph, error) {
 		return nil, err
 	}
 	b := graph.NewBuilder(n)
-	b.EdgeCapacityHint(m)
+	b.EdgeCapacityHint(edgeHint(m))
 	edges := 0
 	var declared map[int32]bool
+	fields := make([][]byte, 0, 4)
 	for sc.Scan() {
 		ln++
-		fields, skip := splitEdgeListLine(sc.Text())
-		if skip {
+		fields = splitEdgeListLine(fields, sc.Bytes())
+		if len(fields) == 0 {
 			continue
 		}
-		if fields[0] == "v" {
+		if string(fields[0]) == "v" {
 			id, w, err := parseVertexDecl(fields, n)
 			if err != nil {
 				return nil, fmt.Errorf("%w: line %d: %v", ErrFormat, ln, err)
@@ -114,16 +118,20 @@ func readEdgeListHypergraph(br *bufio.Reader) (*hypergraph.Hypergraph, error) {
 	if err != nil {
 		return nil, err
 	}
-	edges := make([][]int32, 0, m)
+	// Edges go back to back into one flat array, ends[j] closing edge j;
+	// hypergraph.NewWeighted copies each edge out of it.
+	var flat []int32
+	ends := make([]int, 0, edgeHint(m))
 	var ws []int64
 	var declared map[int32]bool
+	fields := make([][]byte, 0, 8)
 	for sc.Scan() {
 		ln++
-		fields, skip := splitEdgeListLine(sc.Text())
-		if skip {
+		fields = splitEdgeListLine(fields, sc.Bytes())
+		if len(fields) == 0 {
 			continue
 		}
-		if fields[0] == "v" {
+		if string(fields[0]) == "v" {
 			id, w, err := parseVertexDecl(fields, n)
 			if err != nil {
 				return nil, fmt.Errorf("%w: line %d: %v", ErrFormat, ln, err)
@@ -144,21 +152,26 @@ func readEdgeListHypergraph(br *bufio.Reader) (*hypergraph.Hypergraph, error) {
 			ws[id] = w
 			continue
 		}
-		edge := make([]int32, 0, len(fields))
 		for _, f := range fields {
 			v, err := parseVertex(f)
 			if err != nil {
 				return nil, fmt.Errorf("%w: line %d: %v", ErrFormat, ln, err)
 			}
-			edge = append(edge, v)
+			flat = append(flat, v)
 		}
-		edges = append(edges, edge)
+		ends = append(ends, len(flat))
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graphio: reading hypergraph: %w", err)
 	}
-	if len(edges) != m {
-		return nil, fmt.Errorf("%w: header promises %d edges, found %d", ErrFormat, m, len(edges))
+	if len(ends) != m {
+		return nil, fmt.Errorf("%w: header promises %d edges, found %d", ErrFormat, m, len(ends))
+	}
+	edges := make([][]int32, len(ends))
+	start := 0
+	for j, end := range ends {
+		edges[j] = flat[start:end]
+		start = end
 	}
 	h, err := hypergraph.NewWeighted(n, edges, ws)
 	if err != nil {
@@ -190,21 +203,22 @@ func writeEdgeListHypergraph(w io.Writer, h *hypergraph.Hypergraph) error {
 // readEdgeListHeader consumes lines up to and including the
 // "<kind> <n> <m>" header and returns n, m and the number of lines read.
 func readEdgeListHeader(sc *bufio.Scanner, kind string) (n, m, ln int, err error) {
+	fields := make([][]byte, 0, 4)
 	for sc.Scan() {
 		ln++
-		fields, skip := splitEdgeListLine(sc.Text())
-		if skip {
+		fields = splitEdgeListLine(fields, sc.Bytes())
+		if len(fields) == 0 {
 			continue
 		}
-		if len(fields) != 3 || fields[0] != kind {
+		if len(fields) != 3 || string(fields[0]) != kind {
 			return 0, 0, ln, fmt.Errorf("%w: line %d: header %q, want %q n m", ErrFormat, ln, sc.Text(), kind)
 		}
-		n, err1 := strconv.Atoi(fields[1])
-		m, err2 := strconv.Atoi(fields[2])
+		n, err1 := parseInt(fields[1], strconv.IntSize)
+		m, err2 := parseInt(fields[2], strconv.IntSize)
 		if err1 != nil || err2 != nil || n < 0 || m < 0 {
 			return 0, 0, ln, fmt.Errorf("%w: line %d: header %q", ErrFormat, ln, sc.Text())
 		}
-		return n, m, ln, nil
+		return int(n), int(m), ln, nil
 	}
 	if err := sc.Err(); err != nil {
 		return 0, 0, ln, fmt.Errorf("graphio: reading header: %w", err)
@@ -212,19 +226,55 @@ func readEdgeListHeader(sc *bufio.Scanner, kind string) (n, m, ln int, err error
 	return 0, 0, ln, fmt.Errorf("%w: missing %q header", ErrFormat, kind)
 }
 
-// splitEdgeListLine tokenises a line; skip is true for blanks and '#'
-// comments.
-func splitEdgeListLine(line string) (fields []string, skip bool) {
-	if i := strings.IndexByte(line, '#'); i >= 0 {
+// splitEdgeListLine tokenises line into dst, reusing its array: the
+// fields before any '#' comment, as appendFields splits them. Blank and
+// comment-only lines have no fields.
+func splitEdgeListLine(dst [][]byte, line []byte) [][]byte {
+	if i := bytes.IndexByte(line, '#'); i >= 0 {
 		line = line[:i]
 	}
-	fields = strings.Fields(line)
-	return fields, len(fields) == 0
+	return appendFields(dst[:0], line)
 }
+
+// appendFields appends line's fields to dst: the runs between Unicode
+// white space, split exactly where strings.Fields splits (bytes that are
+// not valid UTF-8 belong to fields). The fields alias line.
+func appendFields(dst [][]byte, line []byte) [][]byte {
+	start := -1
+	for i := 0; i < len(line); {
+		space, size := asciiSpace[line[i]], 1
+		if line[i] >= utf8.RuneSelf {
+			var r rune
+			r, size = utf8.DecodeRune(line[i:])
+			space = unicode.IsSpace(r)
+		}
+		if !space {
+			if start < 0 {
+				start = i
+			}
+		} else if start >= 0 {
+			dst = append(dst, line[start:i])
+			start = -1
+		}
+		i += size
+	}
+	if start >= 0 {
+		dst = append(dst, line[start:])
+	}
+	return dst
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// edgeHint bounds a header's edge count before it sizes a buffer: the
+// count is the input's claim, and a short body must not reserve memory
+// for billions of edges. Larger inputs grow their buffers as they go.
+func edgeHint(m int) int { return min(m, 1<<16) }
 
 // parseVertexDecl parses a "v id [w]" vertex-declaration line (the weight
 // column defaults to 1) and range-checks the id against n.
-func parseVertexDecl(fields []string, n int) (id int32, w int64, err error) {
+func parseVertexDecl(fields [][]byte, n int) (id int32, w int64, err error) {
 	if len(fields) != 2 && len(fields) != 3 {
 		return 0, 0, fmt.Errorf("want \"v id [w]\", got %d fields", len(fields))
 	}
@@ -247,13 +297,10 @@ func parseVertexDecl(fields []string, n int) (id int32, w int64, err error) {
 
 // parseWeight parses a vertex weight, reporting overflow beyond int64
 // explicitly; range validation ([0, MaxWeight]) is the substrate's job.
-func parseWeight(s string) (int64, error) {
-	w, err := strconv.ParseInt(s, 10, 64)
+func parseWeight(b []byte) (int64, error) {
+	w, err := parseInt(b, 64)
 	if err != nil {
-		if ne, ok := err.(*strconv.NumError); ok && ne.Err == strconv.ErrRange {
-			return 0, fmt.Errorf("weight %q overflows int64", s)
-		}
-		return 0, fmt.Errorf("bad weight %q", s)
+		return 0, numberError("weight", b, "int64", err)
 	}
 	return w, nil
 }
@@ -272,13 +319,30 @@ func writeEdgeListWeights(bw *bufio.Writer, weighted bool, n int, weight func(in
 
 // parseVertex parses a 0-based vertex id, reporting overflow beyond int32
 // explicitly (the dense-id substrates cannot represent larger graphs).
-func parseVertex(s string) (int32, error) {
-	v, err := strconv.ParseInt(s, 10, 32)
+func parseVertex(b []byte) (int32, error) {
+	v, err := parseInt(b, 32)
 	if err != nil {
-		if ne, ok := err.(*strconv.NumError); ok && ne.Err == strconv.ErrRange {
-			return 0, fmt.Errorf("vertex id %q overflows int32", s)
-		}
-		return 0, fmt.Errorf("bad vertex id %q", s)
+		return 0, numberError("vertex id", b, "int32", err)
 	}
 	return int32(v), nil
+}
+
+// numberError words a parseInt failure on field b, a what of Go type typ.
+func numberError(what string, b []byte, typ string, err error) error {
+	if err == strconv.ErrRange {
+		return fmt.Errorf("%s %q overflows %s", what, b, typ)
+	}
+	return fmt.Errorf("bad %s %q", what, b)
+}
+
+// parseInt is strconv.ParseInt(string(b), 10, bits), failing with its
+// NumError's strconv.ErrSyntax or strconv.ErrRange. strconv copies its
+// input into the error, so the conversion does not escape and a short
+// number is parsed without allocating.
+func parseInt(b []byte, bits int) (int64, error) {
+	v, err := strconv.ParseInt(string(b), 10, bits)
+	if err != nil {
+		return 0, err.(*strconv.NumError).Err // ParseInt's documented error type
+	}
+	return v, nil
 }

@@ -2,12 +2,16 @@ package graphio
 
 // fuzz_test.go backs the round-trip encoders with fuzzing: any input the
 // readers accept must re-encode and re-parse to the identical structure,
-// and no input may panic the parser. `go test` runs the seed corpus;
+// and no input may panic the parser. FuzzEdgeListFields holds the byte
+// tokenizer and number parsers to the string versions they replaced.
+// `go test` runs the seed corpus;
 // `go test -fuzz=FuzzReadGraph ./internal/graphio` explores further.
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -86,6 +90,87 @@ func FuzzReadHypergraph(f *testing.F) {
 					!reflect.DeepEqual(got.Weights(), h.Weights()) {
 					t.Fatalf("format %v: round trip changed the hypergraph", out)
 				}
+			}
+		}
+	})
+}
+
+// splitEdgeListLineRef is the string tokenizer the byte one replaced.
+func splitEdgeListLineRef(line string) []string {
+	if i := strings.IndexByte(line, '#'); i >= 0 {
+		line = line[:i]
+	}
+	return strings.Fields(line)
+}
+
+// parseVertexRef is the string id parser the byte one replaced.
+func parseVertexRef(s string) (int32, error) {
+	v, err := strconv.ParseInt(s, 10, 32)
+	if err != nil {
+		if ne, ok := err.(*strconv.NumError); ok && ne.Err == strconv.ErrRange {
+			return 0, fmt.Errorf("vertex id %q overflows int32", s)
+		}
+		return 0, fmt.Errorf("bad vertex id %q", s)
+	}
+	return int32(v), nil
+}
+
+// parseWeightRef is the string weight parser the byte one replaced.
+func parseWeightRef(s string) (int64, error) {
+	w, err := strconv.ParseInt(s, 10, 64)
+	if err != nil {
+		if ne, ok := err.(*strconv.NumError); ok && ne.Err == strconv.ErrRange {
+			return 0, fmt.Errorf("weight %q overflows int64", s)
+		}
+		return 0, fmt.Errorf("bad weight %q", s)
+	}
+	return w, nil
+}
+
+// sameParse fails t unless two parses agree on the value or, failing,
+// on the error text.
+func sameParse[T comparable](t *testing.T, what, in string, got, want T, gotErr, wantErr error) {
+	t.Helper()
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || (wantErr == nil && got != want) {
+		t.Fatalf("%s(%q) = %v, %v; want %v, %v", what, in, got, gotErr, want, wantErr)
+	}
+}
+
+func FuzzEdgeListFields(f *testing.F) {
+	for _, line := range []string{
+		"0 1", "\v0\v1\v", "0\f1", "0 1\r", "2\u00853", "4\u00a05", "6\u30007",
+		"+5 -0", "007 8", "2147483648 0", "-2147483649", "0 1 # 2 3", "#",
+		"1234567890123456789012345678901234567890 1", "v 3 -9223372036854775808",
+		"5000000000x", "3000000000x", "+", "- 1", "\xc2 1\xff", "\u2028\u205f",
+	} {
+		f.Add(line)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		want := splitEdgeListLineRef(line)
+		got := splitEdgeListLine(nil, []byte(line))
+		if len(got) != len(want) {
+			t.Fatalf("splitEdgeListLine(%q) = %q, want %q", line, got, want)
+		}
+		for i := range want {
+			if string(got[i]) != want[i] {
+				t.Fatalf("splitEdgeListLine(%q) = %q, want %q", line, got, want)
+			}
+		}
+		if got, want := appendFields(nil, []byte(line)), strings.Fields(line); fmt.Sprintf("%q", got) != fmt.Sprintf("%q", want) {
+			t.Fatalf("appendFields(%q) = %q, want %q", line, got, want)
+		}
+		for _, s := range append(want, line) {
+			v, err := parseVertex([]byte(s))
+			wv, werr := parseVertexRef(s)
+			sameParse(t, "parseVertex", s, v, wv, err, werr)
+			w, err := parseWeight([]byte(s))
+			ww, werr := parseWeightRef(s)
+			sameParse(t, "parseWeight", s, w, ww, err, werr)
+			// The header counts went through strconv.Atoi.
+			n, err := parseInt([]byte(s), strconv.IntSize)
+			wn, werr := strconv.Atoi(s)
+			if (err == nil) != (werr == nil) || (err == nil && int(n) != wn) {
+				t.Fatalf("parseInt(%q) = %d, %v; Atoi = %d, %v", s, n, err, wn, werr)
 			}
 		}
 	})

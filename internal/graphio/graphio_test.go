@@ -225,6 +225,31 @@ func TestMalformedHypergraphInputs(t *testing.T) {
 	}
 }
 
+// TestHeaderEdgeCountOnlyHintsCapacity feeds short bodies whose headers
+// claim three billion edges. The claim may size buffers only up to a
+// cap: sized from the header alone, the reservation would exhaust memory
+// and kill the process instead of failing the count check.
+func TestHeaderEdgeCountOnlyHintsCapacity(t *testing.T) {
+	for _, tc := range []struct {
+		format Format
+		input  string
+	}{
+		{FormatEdgeList, "graph 2 3000000000\n0 1\n"},
+		{FormatDIMACS, "p edge 2 3000000000\ne 1 2\n"},
+		{FormatEdgeList, "hypergraph 2 3000000000\n0 1\n"},
+	} {
+		var err error
+		if strings.HasPrefix(tc.input, "hypergraph") {
+			_, err = ReadHypergraph(strings.NewReader(tc.input), tc.format)
+		} else {
+			_, err = ReadGraph(strings.NewReader(tc.input), tc.format)
+		}
+		if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "promises 3000000000 edges, found 1") {
+			t.Errorf("%q: error = %v, want the edge-count mismatch", tc.input, err)
+		}
+	}
+}
+
 func TestSniffFormat(t *testing.T) {
 	cases := []struct {
 		name  string

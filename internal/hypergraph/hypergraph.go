@@ -11,6 +11,7 @@ package hypergraph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -48,7 +49,7 @@ func New(n int, edges [][]int32) (*Hypergraph, error) {
 		}
 		cp := make([]int32, len(e))
 		copy(cp, e)
-		sort.Slice(cp, func(a, b int) bool { return cp[a] < cp[b] })
+		slices.Sort(cp)
 		w := 1
 		for i := 1; i < len(cp); i++ {
 			if cp[i] != cp[i-1] {

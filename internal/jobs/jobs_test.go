@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -197,6 +198,60 @@ func TestJobLifecycleDone(t *testing.T) {
 	st := m.Stats()
 	if st.Submitted != 1 || st.Completed != 1 || st.Failed != 0 || st.Running != 0 || st.QueueDepth != 0 {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+// TestMemoryOnlyResultMatchesSolve pins what a memory-only manager keeps
+// of a done job: Result rebuilds exactly the solve's result, including
+// the nil colour lists of uncoloured vertices and the weight fields.
+func TestMemoryOnlyResultMatchesSolve(t *testing.T) {
+	base := testHypergraph(t, 3)
+	ws := make([]int64, base.N())
+	for v := range ws {
+		ws[v] = int64(1 + v%5)
+	}
+	weighted, err := hypergraph.NewWeighted(base.N(), base.Edges(), ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	instances := map[string]*hypergraph.Hypergraph{
+		// The three vertices past base.N() lie in no edge: never coloured.
+		"uncoloured": hypergraph.MustNew(base.N()+3, base.Edges()),
+		"weighted":   weighted,
+	}
+	params := Params{K: 2, Oracle: "greedy-mindeg"}
+	for name, h := range instances {
+		var buf bytes.Buffer
+		if err := graphio.WriteHypergraph(&buf, h, graphio.FormatEdgeList); err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := solver.New().With(params.options()...).SolveReader(
+			context.Background(), bytes.NewReader(buf.Bytes()), graphio.FormatEdgeList)
+		if err != nil {
+			t.Fatalf("%s: solve: %v", name, err)
+		}
+		if name == "uncoloured" && want.Multicoloring[h.N()-1] != nil {
+			t.Fatalf("%s: isolated vertex coloured %v", name, want.Multicoloring[h.N()-1])
+		}
+		if want.Weighted != (name == "weighted") {
+			t.Fatalf("%s: Weighted = %v", name, want.Weighted)
+		}
+
+		m := newManager(t, Config{Workers: 1})
+		info, _, err := m.Submit(Request{Body: buf.Bytes(), Format: "edgelist", Params: params})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final, err := m.Await(awaitCtx(t), info.ID); err != nil || final.State != StateDone {
+			t.Fatalf("%s: job ended %+v, %v", name, final, err)
+		}
+		got, err := m.Result(info.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Result = %+v, want the solve's %+v", name, got, want)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 #!/bin/sh
-# Runs the hot-path benchmarks (conflict-graph construction, reduction,
-# oracle portfolio, SLOCAL simulator, Moser-Tardos splitting, span
-# recording) and appends
+# Runs the hot-path benchmarks (conflict-graph construction, edge-list
+# parsing, reduction, oracle portfolio, SLOCAL simulator, Moser-Tardos
+# splitting, span recording) and appends
 # the results to the perf trajectory (default BENCH_gk.json): a stable
 # {"schema":1,"history":[...]} document with one entry per run, keyed by
 # git SHA (suffixed "-dirty" when the tree has uncommitted changes), so
@@ -37,14 +37,17 @@ go test -run '^$' -bench 'SolverCacheHitAllocs|SolverMaxISReaderHot' -benchmem -
   ./internal/solver/ >> "$tmp"
 go test -run '^$' -bench 'SpanRecord' -benchmem -count=1 $benchtime \
   ./internal/obs/ >> "$tmp"
+go test -run '^$' -bench 'ReadGraphEdgeListDense' -benchmem -count=1 $benchtime \
+  ./internal/graphio/ >> "$tmp"
 cat "$tmp"
 
 sha="$(git rev-parse HEAD 2>/dev/null || echo unknown)"
 if ! git diff-index --quiet HEAD -- 2>/dev/null; then
   sha="${sha}-dirty"
 fi
-# The alloc gate holds the zero-allocation serve line: if allocs/op on a
-# serve-path benchmark grows vs the recorded trajectory, the merge fails.
+# The alloc gate holds the zero-allocation serve line, and the cold
+# parse's line of no per-line allocations: if allocs/op on a gated
+# benchmark grows vs the recorded trajectory, the merge fails.
 # BENCH_LOAD_PERF can point at a cfload -perf-out report to fold Cfload*
 # load-test results into the same entry (scripts/loadsmoke.sh records its
 # own "<sha>-load" entry instead, so the two paths never collide).
@@ -54,5 +57,5 @@ if [ -n "${BENCH_LOAD_PERF:-}" ]; then
 fi
 # shellcheck disable=SC2086  # quickflag/loadflag are intentionally word-split
 go run ./scripts/benchmerge -out "$out" -sha "$sha" $quickflag $loadflag \
-  -alloc-gate 'SolverCacheHitAllocs|SolverMaxISReaderHot|SpanRecord' < "$tmp"
+  -alloc-gate 'SolverCacheHitAllocs|SolverMaxISReaderHot|SpanRecord|ReadGraphEdgeListDense' < "$tmp"
 echo "wrote $out"
