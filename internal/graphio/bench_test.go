@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pslocal/internal/graph"
+	"pslocal/internal/hypergraph"
 )
 
 // BenchmarkReadGraphEdgeListDense parses the cold /v1/maxis body of the
@@ -32,6 +33,34 @@ func BenchmarkReadGraphEdgeListDense(b *testing.B) {
 		}
 		if got.M() != g.M() {
 			b.Fatalf("read %d edges, want %d", got.M(), g.M())
+		}
+	}
+}
+
+// BenchmarkReadHypergraphJSONCold parses a cold /v1/reduce body of the
+// serving benchmark: a planted hypergraph on 350 vertices with 350 edges
+// of 2–3 vertices, as JSON. scripts/bench.sh alloc-gates it.
+func BenchmarkReadHypergraphJSONCold(b *testing.B) {
+	h, _, err := hypergraph.PlantedCF(350, 350, 3, 2, 3, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteHypergraph(&buf, h, FormatJSON); err != nil {
+		b.Fatal(err)
+	}
+	body := buf.Bytes()
+	if _, err := ReadHypergraph(bytes.NewReader(body), FormatJSON); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		got, err := ReadHypergraph(bytes.NewReader(body), FormatJSON)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got.M() != h.M() {
+			b.Fatalf("read %d edges, want %d", got.M(), h.M())
 		}
 	}
 }

@@ -25,22 +25,20 @@ import (
 	"pslocal/internal/graph"
 )
 
-// readDIMACSGraph parses a DIMACS .col document.
-func readDIMACSGraph(br *bufio.Reader) (*graph.Graph, error) {
-	sc := newScanner(br)
+// parseDIMACSGraph parses a DIMACS .col document.
+func parseDIMACSGraph(data []byte) (*graph.Graph, error) {
+	sc := textScanner{data: data, comment: -1}
 	var (
-		b      *graph.Builder
-		m      int
-		edges  int
-		ln     int
-		fields = make([][]byte, 0, 4)
+		b     *graph.Builder
+		m     int
+		edges int
 	)
-	for sc.Scan() {
-		ln++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
+	for fields, ok := sc.next(make([][]byte, 0, 4)); ok; fields, ok = sc.next(fields) {
+		if len(fields) == 0 {
 			continue
 		}
+		ln := sc.ln
+		line := bytes.TrimSpace(sc.line()) // what error messages quote
 		switch line[0] {
 		case 'c':
 			if len(line) == 1 || line[1] == ' ' || line[1] == '\t' {
@@ -51,7 +49,6 @@ func readDIMACSGraph(br *bufio.Reader) (*graph.Graph, error) {
 			if b != nil {
 				return nil, fmt.Errorf("%w: line %d: second problem line", ErrFormat, ln)
 			}
-			fields = appendFields(fields[:0], line)
 			if len(fields) != 4 || (string(fields[1]) != "edge" && string(fields[1]) != "col") {
 				return nil, fmt.Errorf("%w: line %d: problem line %q, want \"p edge n m\"", ErrFormat, ln, line)
 			}
@@ -60,6 +57,9 @@ func readDIMACSGraph(br *bufio.Reader) (*graph.Graph, error) {
 			if err1 != nil || err2 != nil || n64 < 0 || m64 < 0 {
 				return nil, fmt.Errorf("%w: line %d: problem line %q", ErrFormat, ln, line)
 			}
+			if err := checkNodeCount(n64); err != nil {
+				return nil, err
+			}
 			m = int(m64)
 			b = graph.NewBuilder(int(n64))
 			b.EdgeCapacityHint(edgeHint(m))
@@ -67,7 +67,6 @@ func readDIMACSGraph(br *bufio.Reader) (*graph.Graph, error) {
 			if b == nil {
 				return nil, fmt.Errorf("%w: line %d: node line before the problem line", ErrFormat, ln)
 			}
-			fields = appendFields(fields[:0], line)
 			if len(fields) != 3 || string(fields[0]) != "n" {
 				return nil, fmt.Errorf("%w: line %d: want \"n id w\", got %q", ErrFormat, ln, line)
 			}
@@ -87,7 +86,6 @@ func readDIMACSGraph(br *bufio.Reader) (*graph.Graph, error) {
 			if b == nil {
 				return nil, fmt.Errorf("%w: line %d: edge before the problem line", ErrFormat, ln)
 			}
-			fields = appendFields(fields[:0], line)
 			if len(fields) != 3 {
 				return nil, fmt.Errorf("%w: line %d: want \"e u v\", got %q", ErrFormat, ln, line)
 			}
@@ -107,9 +105,6 @@ func readDIMACSGraph(br *bufio.Reader) (*graph.Graph, error) {
 		default:
 			return nil, fmt.Errorf("%w: line %d: unrecognised line %q", ErrFormat, ln, line)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("graphio: reading DIMACS: %w", err)
 	}
 	if b == nil {
 		return nil, fmt.Errorf("%w: missing \"p edge n m\" problem line", ErrFormat)

@@ -22,6 +22,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"unicode"
@@ -31,10 +32,10 @@ import (
 	"pslocal/internal/hypergraph"
 )
 
-// readEdgeListGraph parses the "graph n m" text format.
-func readEdgeListGraph(br *bufio.Reader) (*graph.Graph, error) {
-	sc := newScanner(br)
-	n, m, ln, err := readEdgeListHeader(sc, "graph")
+// parseEdgeListGraph parses the "graph n m" text format.
+func parseEdgeListGraph(data []byte) (*graph.Graph, error) {
+	sc := textScanner{data: data, comment: '#'}
+	n, m, err := readEdgeListHeader(&sc, "graph")
 	if err != nil {
 		return nil, err
 	}
@@ -42,44 +43,38 @@ func readEdgeListGraph(br *bufio.Reader) (*graph.Graph, error) {
 	b.EdgeCapacityHint(edgeHint(m))
 	edges := 0
 	var declared map[int32]bool
-	fields := make([][]byte, 0, 4)
-	for sc.Scan() {
-		ln++
-		fields = splitEdgeListLine(fields, sc.Bytes())
+	for fields, ok := sc.next(make([][]byte, 0, 4)); ok; fields, ok = sc.next(fields) {
 		if len(fields) == 0 {
 			continue
 		}
 		if string(fields[0]) == "v" {
 			id, w, err := parseVertexDecl(fields, n)
 			if err != nil {
-				return nil, fmt.Errorf("%w: line %d: %v", ErrFormat, ln, err)
+				return nil, fmt.Errorf("%w: line %d: %v", ErrFormat, sc.ln, err)
 			}
 			if declared == nil {
 				declared = make(map[int32]bool)
 			}
 			if declared[id] {
-				return nil, fmt.Errorf("%w: line %d: vertex %d declared twice", ErrFormat, ln, id)
+				return nil, fmt.Errorf("%w: line %d: vertex %d declared twice", ErrFormat, sc.ln, id)
 			}
 			declared[id] = true
 			b.SetWeight(id, w)
 			continue
 		}
 		if len(fields) != 2 {
-			return nil, fmt.Errorf("%w: line %d: want \"u v\", got %q", ErrFormat, ln, sc.Text())
+			return nil, fmt.Errorf("%w: line %d: want \"u v\", got %q", ErrFormat, sc.ln, sc.line())
 		}
 		u, err1 := parseVertex(fields[0])
 		v, err2 := parseVertex(fields[1])
 		if err1 != nil {
-			return nil, fmt.Errorf("%w: line %d: %v", ErrFormat, ln, err1)
+			return nil, fmt.Errorf("%w: line %d: %v", ErrFormat, sc.ln, err1)
 		}
 		if err2 != nil {
-			return nil, fmt.Errorf("%w: line %d: %v", ErrFormat, ln, err2)
+			return nil, fmt.Errorf("%w: line %d: %v", ErrFormat, sc.ln, err2)
 		}
 		b.AddEdge(u, v)
 		edges++
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("graphio: reading graph: %w", err)
 	}
 	if edges != m {
 		return nil, fmt.Errorf("%w: header promises %d edges, found %d", ErrFormat, m, edges)
@@ -111,10 +106,10 @@ func writeEdgeListGraph(w io.Writer, g *graph.Graph) error {
 	return bw.Flush()
 }
 
-// readEdgeListHypergraph parses the "hypergraph n m" text format.
-func readEdgeListHypergraph(br *bufio.Reader) (*hypergraph.Hypergraph, error) {
-	sc := newScanner(br)
-	n, m, ln, err := readEdgeListHeader(sc, "hypergraph")
+// parseEdgeListHypergraph parses the "hypergraph n m" text format.
+func parseEdgeListHypergraph(data []byte) (*hypergraph.Hypergraph, error) {
+	sc := textScanner{data: data, comment: '#'}
+	n, m, err := readEdgeListHeader(&sc, "hypergraph")
 	if err != nil {
 		return nil, err
 	}
@@ -124,23 +119,20 @@ func readEdgeListHypergraph(br *bufio.Reader) (*hypergraph.Hypergraph, error) {
 	ends := make([]int, 0, edgeHint(m))
 	var ws []int64
 	var declared map[int32]bool
-	fields := make([][]byte, 0, 8)
-	for sc.Scan() {
-		ln++
-		fields = splitEdgeListLine(fields, sc.Bytes())
+	for fields, ok := sc.next(make([][]byte, 0, 8)); ok; fields, ok = sc.next(fields) {
 		if len(fields) == 0 {
 			continue
 		}
 		if string(fields[0]) == "v" {
 			id, w, err := parseVertexDecl(fields, n)
 			if err != nil {
-				return nil, fmt.Errorf("%w: line %d: %v", ErrFormat, ln, err)
+				return nil, fmt.Errorf("%w: line %d: %v", ErrFormat, sc.ln, err)
 			}
 			if declared == nil {
 				declared = make(map[int32]bool)
 			}
 			if declared[id] {
-				return nil, fmt.Errorf("%w: line %d: vertex %d declared twice", ErrFormat, ln, id)
+				return nil, fmt.Errorf("%w: line %d: vertex %d declared twice", ErrFormat, sc.ln, id)
 			}
 			declared[id] = true
 			if ws == nil {
@@ -155,29 +147,32 @@ func readEdgeListHypergraph(br *bufio.Reader) (*hypergraph.Hypergraph, error) {
 		for _, f := range fields {
 			v, err := parseVertex(f)
 			if err != nil {
-				return nil, fmt.Errorf("%w: line %d: %v", ErrFormat, ln, err)
+				return nil, fmt.Errorf("%w: line %d: %v", ErrFormat, sc.ln, err)
 			}
 			flat = append(flat, v)
 		}
 		ends = append(ends, len(flat))
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("graphio: reading hypergraph: %w", err)
-	}
 	if len(ends) != m {
 		return nil, fmt.Errorf("%w: header promises %d edges, found %d", ErrFormat, m, len(ends))
 	}
+	h, err := hypergraph.NewWeighted(n, splitFlat(flat, ends), ws)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
+	}
+	return h, nil
+}
+
+// splitFlat cuts back-to-back edges into per-edge views of flat: edge j
+// is flat[ends[j-1]:ends[j]].
+func splitFlat(flat []int32, ends []int) [][]int32 {
 	edges := make([][]int32, len(ends))
 	start := 0
 	for j, end := range ends {
 		edges[j] = flat[start:end]
 		start = end
 	}
-	h, err := hypergraph.NewWeighted(n, edges, ws)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
-	}
-	return h, nil
+	return edges
 }
 
 // writeEdgeListHypergraph writes h in the "hypergraph n m" text format.
@@ -201,68 +196,107 @@ func writeEdgeListHypergraph(w io.Writer, h *hypergraph.Hypergraph) error {
 }
 
 // readEdgeListHeader consumes lines up to and including the
-// "<kind> <n> <m>" header and returns n, m and the number of lines read.
-func readEdgeListHeader(sc *bufio.Scanner, kind string) (n, m, ln int, err error) {
-	fields := make([][]byte, 0, 4)
-	for sc.Scan() {
-		ln++
-		fields = splitEdgeListLine(fields, sc.Bytes())
+// "<kind> <n> <m>" header and returns n and m.
+func readEdgeListHeader(sc *textScanner, kind string) (n, m int, err error) {
+	for fields, ok := sc.next(make([][]byte, 0, 4)); ok; fields, ok = sc.next(fields) {
 		if len(fields) == 0 {
 			continue
 		}
 		if len(fields) != 3 || string(fields[0]) != kind {
-			return 0, 0, ln, fmt.Errorf("%w: line %d: header %q, want %q n m", ErrFormat, ln, sc.Text(), kind)
+			return 0, 0, fmt.Errorf("%w: line %d: header %q, want %q n m", ErrFormat, sc.ln, sc.line(), kind)
 		}
 		n, err1 := parseInt(fields[1], strconv.IntSize)
 		m, err2 := parseInt(fields[2], strconv.IntSize)
 		if err1 != nil || err2 != nil || n < 0 || m < 0 {
-			return 0, 0, ln, fmt.Errorf("%w: line %d: header %q", ErrFormat, ln, sc.Text())
+			return 0, 0, fmt.Errorf("%w: line %d: header %q", ErrFormat, sc.ln, sc.line())
 		}
-		return int(n), int(m), ln, nil
+		if err := checkNodeCount(n); err != nil {
+			return 0, 0, err
+		}
+		return int(n), int(m), nil
 	}
-	if err := sc.Err(); err != nil {
-		return 0, 0, ln, fmt.Errorf("graphio: reading header: %w", err)
-	}
-	return 0, 0, ln, fmt.Errorf("%w: missing %q header", ErrFormat, kind)
+	return 0, 0, fmt.Errorf("%w: missing %q header", ErrFormat, kind)
 }
 
-// splitEdgeListLine tokenises line into dst, reusing its array: the
-// fields before any '#' comment, as appendFields splits them. Blank and
-// comment-only lines have no fields.
-func splitEdgeListLine(dst [][]byte, line []byte) [][]byte {
-	if i := bytes.IndexByte(line, '#'); i >= 0 {
-		line = line[:i]
-	}
-	return appendFields(dst[:0], line)
+// textScanner walks a text body line by line, splitting each line into
+// fields in the same pass over its bytes. Lines end where
+// bufio.ScanLines ends them: at each '\n', with one '\r' before it
+// dropped, and at the end of the body unless the body ends in '\n'.
+// Fields are the runs between Unicode white space, split exactly where
+// strings.Fields splits (bytes that are not valid UTF-8 belong to
+// fields), and stop at the comment byte.
+type textScanner struct {
+	data []byte
+	// comment is the byte that starts a comment running to the end of
+	// the line, or -1 when the format has none: every byte value,
+	// including NUL, is ordinary input.
+	comment int
+	pos     int // offset of the first byte not yet scanned
+	ln      int // lines scanned so far: the current line's number
+	start   int // the current line is data[start:end]
+	end     int
 }
 
-// appendFields appends line's fields to dst: the runs between Unicode
-// white space, split exactly where strings.Fields splits (bytes that are
-// not valid UTF-8 belong to fields). The fields alias line.
-func appendFields(dst [][]byte, line []byte) [][]byte {
-	start := -1
-	for i := 0; i < len(line); {
-		space, size := asciiSpace[line[i]], 1
-		if line[i] >= utf8.RuneSelf {
+// next scans the next line and returns its fields, reusing dst's array;
+// the fields alias the body. ok is false at the end of the body.
+func (s *textScanner) next(dst [][]byte) (fields [][]byte, ok bool) {
+	data, i, comment := s.data, s.pos, s.comment
+	if i >= len(data) {
+		return dst[:0], false
+	}
+	fields = dst[:0]
+	s.start = i
+	field := -1 // first byte of the field being scanned, -1 between fields
+	for i < len(data) {
+		c := data[i]
+		if c == '\n' {
+			break
+		}
+		if int(c) == comment {
+			if field >= 0 {
+				fields = append(fields, data[field:i])
+				field = -1
+			}
+			if j := bytes.IndexByte(data[i:], '\n'); j >= 0 {
+				i += j
+			} else {
+				i = len(data)
+			}
+			break
+		}
+		space, size := asciiSpace[c], 1
+		if c >= utf8.RuneSelf {
 			var r rune
-			r, size = utf8.DecodeRune(line[i:])
+			r, size = utf8.DecodeRune(data[i:])
 			space = unicode.IsSpace(r)
 		}
 		if !space {
-			if start < 0 {
-				start = i
+			if field < 0 {
+				field = i
 			}
-		} else if start >= 0 {
-			dst = append(dst, line[start:i])
-			start = -1
+		} else if field >= 0 {
+			fields = append(fields, data[field:i])
+			field = -1
 		}
 		i += size
 	}
-	if start >= 0 {
-		dst = append(dst, line[start:])
+	if field >= 0 {
+		fields = append(fields, data[field:i])
 	}
-	return dst
+	s.end = i
+	if i > s.start && data[i-1] == '\r' {
+		s.end--
+	}
+	if i < len(data) {
+		i++ // the '\n'
+	}
+	s.pos = i
+	s.ln++
+	return fields, true
 }
+
+// line returns the line the last next call scanned, comment included.
+func (s *textScanner) line() []byte { return s.data[s.start:s.end] }
 
 // asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
 var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
@@ -335,14 +369,43 @@ func numberError(what string, b []byte, typ string, err error) error {
 	return fmt.Errorf("bad %s %q", what, b)
 }
 
-// parseInt is strconv.ParseInt(string(b), 10, bits), failing with its
-// NumError's strconv.ErrSyntax or strconv.ErrRange. strconv copies its
-// input into the error, so the conversion does not escape and a short
-// number is parsed without allocating.
+// parseInt is strconv.ParseInt(string(b), 10, bits) over the bytes, for
+// bits >= 32: an optional sign, then decimal digits. It fails with
+// strconv.ErrSyntax or strconv.ErrRange exactly where ParseInt does,
+// with ParseInt's overflow checks: a digit that overflows the bits-wide
+// unsigned range reports ErrRange even when a later byte is not a digit.
 func parseInt(b []byte, bits int) (int64, error) {
-	v, err := strconv.ParseInt(string(b), 10, bits)
-	if err != nil {
-		return 0, err.(*strconv.NumError).Err // ParseInt's documented error type
+	neg := false
+	if len(b) > 0 && (b[0] == '+' || b[0] == '-') {
+		neg = b[0] == '-'
+		b = b[1:]
 	}
-	return v, nil
+	if len(b) == 0 {
+		return 0, strconv.ErrSyntax
+	}
+	maxVal := uint64(1)<<uint(bits) - 1
+	var n uint64
+	for _, c := range b {
+		d := c - '0'
+		if d > 9 {
+			return 0, strconv.ErrSyntax
+		}
+		if n >= math.MaxUint64/10+1 {
+			return 0, strconv.ErrRange // n*10 overflows
+		}
+		n *= 10
+		n1 := n + uint64(d)
+		if n1 < n || n1 > maxVal {
+			return 0, strconv.ErrRange
+		}
+		n = n1
+	}
+	cutoff := uint64(1) << uint(bits-1)
+	if !neg && n >= cutoff || neg && n > cutoff {
+		return 0, strconv.ErrRange
+	}
+	if neg {
+		return -int64(n), nil
+	}
+	return int64(n), nil
 }

@@ -11,17 +11,23 @@
 //     only, hypergraphs have no DIMACS representation;
 //   - FormatJSON: a single-object JSON document
 //     {"type":"graph","n":N,"edges":[[u,v],...]} (hypergraph edges carry
-//     any number of vertices), decoded token by token.
+//     any number of vertices).
 //
-// Every reader streams: input is consumed line by line (or JSON token by
-// token) through a fixed-size buffer, so the raw text is never held in
-// memory — only the parsed int32 edge data, which the graph builders need
-// anyway. Readers are strict: headers must match the data, vertex ids
-// must fit in int32, and duplicate graph edges are reported as
-// ErrDuplicateEdge rather than silently merged, because a mismatch at a
-// service boundary (cmd/cfserve) is better rejected than papered over.
-// Writers produce output that round-trips bit-identically through the
-// matching reader; fuzz and property tests in this package pin that down.
+// Every reader parses from one byte slice: ParseGraph and
+// ParseHypergraph take the body a caller already holds (the Solver
+// parses the buffer it read and hashed), and ReadGraph/ReadHypergraph
+// read their io.Reader into one buffer first. The text readers split
+// lines and fields in place, in a single pass over the bytes, so a
+// well-formed text body allocates only the parsed int32 edge data the
+// graph builders need anyway; the JSON reader decodes the body token by
+// token. The parsed instance never aliases the input. Readers are
+// strict: headers must match the data, node counts must not exceed
+// MaxNodes, vertex ids must fit in int32, and duplicate graph edges are
+// reported as ErrDuplicateEdge rather than silently merged, because a
+// mismatch at a service boundary (cmd/cfserve) is better rejected than
+// papered over. Writers produce output that round-trips bit-identically
+// through the matching reader; fuzz and property tests in this package
+// pin that down.
 //
 // The reduction pipeline's result type (core.Result) has a JSON
 // serialization here too (WriteResult/ReadResult), so the CLI -out flags,
@@ -29,7 +35,7 @@
 package graphio
 
 import (
-	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -57,7 +63,26 @@ var (
 	// ErrUnknownFormat reports a format name or sniffed input that matches
 	// no supported format.
 	ErrUnknownFormat = errors.New("graphio: unknown format")
+	// ErrTooLarge reports a node count above MaxNodes. It is a kind of
+	// ErrFormat: errors matching it match ErrFormat too.
+	ErrTooLarge = fmt.Errorf("%w: too many nodes", ErrFormat)
 )
+
+// MaxNodes is the largest node count the readers accept. A header's
+// count sizes per-node arrays before any edge is read, so without a
+// limit a body of a few bytes could claim two billion nodes and exhaust
+// memory. An edgeless graph on many nodes is valid input, so the count
+// cannot be checked against the body's length; it is checked against
+// this fixed limit instead, and a larger count fails with ErrTooLarge.
+const MaxNodes = 1 << 22
+
+// checkNodeCount enforces MaxNodes on a node count read from the input.
+func checkNodeCount(n int64) error {
+	if n > MaxNodes {
+		return fmt.Errorf("%w: %d, limit %d", ErrTooLarge, n, MaxNodes)
+	}
+	return nil
+}
 
 // Format identifies a supported instance encoding.
 type Format int
@@ -124,22 +149,30 @@ func FormatFromPath(path string) Format {
 	}
 }
 
-// ReadGraph parses a graph from r in the given format (FormatAuto
-// sniffs). The input streams through a line or token buffer; the raw text
-// is never held in memory.
+// ReadGraph reads r to the end into one buffer and parses it with
+// ParseGraph. A failed read is returned wrapped, never as ErrFormat.
 func ReadGraph(r io.Reader, f Format) (*graph.Graph, error) {
-	br := bufio.NewReader(r)
-	f, err := resolveFormat(br, f)
+	data, err := readAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return ParseGraph(data, f)
+}
+
+// ParseGraph parses a graph from data in the given format (FormatAuto
+// sniffs). The graph does not alias data.
+func ParseGraph(data []byte, f Format) (*graph.Graph, error) {
+	f, err := resolveFormat(data, f)
 	if err != nil {
 		return nil, err
 	}
 	switch f {
 	case FormatEdgeList:
-		return readEdgeListGraph(br)
+		return parseEdgeListGraph(data)
 	case FormatDIMACS:
-		return readDIMACSGraph(br)
+		return parseDIMACSGraph(data)
 	case FormatJSON:
-		return readJSONGraph(br)
+		return parseJSONGraph(data)
 	default:
 		return nil, fmt.Errorf("%w: %v", ErrUnknownFormat, f)
 	}
@@ -160,21 +193,31 @@ func WriteGraph(w io.Writer, g *graph.Graph, f Format) error {
 	}
 }
 
-// ReadHypergraph parses a hypergraph from r in the given format
-// (FormatAuto sniffs). DIMACS input is rejected with ErrUnsupported.
+// ReadHypergraph reads r to the end into one buffer and parses it with
+// ParseHypergraph. A failed read is returned wrapped, never as ErrFormat.
 func ReadHypergraph(r io.Reader, f Format) (*hypergraph.Hypergraph, error) {
-	br := bufio.NewReader(r)
-	f, err := resolveFormat(br, f)
+	data, err := readAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return ParseHypergraph(data, f)
+}
+
+// ParseHypergraph parses a hypergraph from data in the given format
+// (FormatAuto sniffs). DIMACS input is rejected with ErrUnsupported. The
+// hypergraph does not alias data.
+func ParseHypergraph(data []byte, f Format) (*hypergraph.Hypergraph, error) {
+	f, err := resolveFormat(data, f)
 	if err != nil {
 		return nil, err
 	}
 	switch f {
 	case FormatEdgeList:
-		return readEdgeListHypergraph(br)
+		return parseEdgeListHypergraph(data)
 	case FormatDIMACS:
 		return nil, fmt.Errorf("%w: hypergraphs have no DIMACS representation", ErrUnsupported)
 	case FormatJSON:
-		return readJSONHypergraph(br)
+		return parseJSONHypergraph(data)
 	default:
 		return nil, fmt.Errorf("%w: %v", ErrUnknownFormat, f)
 	}
@@ -248,31 +291,61 @@ func writeFile(path string, write func(io.Writer) error) (err error) {
 	return write(f)
 }
 
+// readAll reads r to the end. A source that reports its unread length
+// (bytes.Reader, strings.Reader, bytes.Buffer) is read into one
+// allocation of exactly that size plus the byte the final io.EOF read
+// needs; other sources grow the buffer as io.ReadAll does.
+func readAll(r io.Reader) ([]byte, error) {
+	size := 512
+	if l, ok := r.(interface{ Len() int }); ok && l.Len() >= 0 {
+		size = l.Len() + 1
+	}
+	buf := make([]byte, 0, size)
+	for {
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("graphio: reading input: %w", err)
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
+}
+
 // resolveFormat returns f unchanged unless it is FormatAuto, in which
-// case it sniffs the format from the buffered reader without consuming
-// input.
-func resolveFormat(br *bufio.Reader, f Format) (Format, error) {
+// case it sniffs the format from the start of data.
+func resolveFormat(data []byte, f Format) (Format, error) {
 	if f != FormatAuto {
 		return f, nil
 	}
-	return sniffFormat(br)
+	return sniffFormat(data)
 }
 
-// sniffFormat peeks at the start of the input and classifies it by the
-// first decisive line: '{' opens JSON, "c"/"p" lines are DIMACS,
-// "graph"/"hypergraph" headers and '#' comments are the edge list.
-func sniffFormat(br *bufio.Reader) (Format, error) {
-	const window = 4096
-	buf, err := br.Peek(window)
-	if len(buf) == 0 {
-		if err != nil && err != io.EOF {
-			return FormatAuto, err
-		}
+// sniffWindow is how far into the input sniffFormat looks.
+const sniffWindow = 4096
+
+// sniffFormat classifies data by the first decisive line within its first
+// sniffWindow bytes: '{' opens JSON, "c"/"p" lines are DIMACS,
+// "graph"/"hypergraph" headers and '#' comments are the edge list. A
+// line cut by the window's end is classified as cut.
+func sniffFormat(data []byte) (Format, error) {
+	if len(data) == 0 {
 		return FormatAuto, fmt.Errorf("%w: empty input", ErrFormat)
 	}
-	for _, line := range strings.Split(string(buf), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
+	rest := data[:min(len(data), sniffWindow)]
+	for len(rest) > 0 {
+		line := rest
+		if i := bytes.IndexByte(rest, '\n'); i >= 0 {
+			line, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = nil
+		}
+		line = bytes.TrimSpace(line)
+		if len(line) == 0 {
 			continue
 		}
 		switch {
@@ -280,21 +353,13 @@ func sniffFormat(br *bufio.Reader) (Format, error) {
 			return FormatJSON, nil
 		case line[0] == '#':
 			return FormatEdgeList, nil
-		case line == "c" || strings.HasPrefix(line, "c ") || strings.HasPrefix(line, "p "):
+		case string(line) == "c" || bytes.HasPrefix(line, []byte("c ")) || bytes.HasPrefix(line, []byte("p ")):
 			return FormatDIMACS, nil
-		case strings.HasPrefix(line, "graph ") || strings.HasPrefix(line, "hypergraph "):
+		case bytes.HasPrefix(line, []byte("graph ")) || bytes.HasPrefix(line, []byte("hypergraph ")):
 			return FormatEdgeList, nil
 		default:
 			return FormatAuto, fmt.Errorf("%w: unrecognised input starting %q", ErrUnknownFormat, line)
 		}
 	}
-	return FormatAuto, fmt.Errorf("%w: no decisive line in the first %d bytes", ErrUnknownFormat, window)
-}
-
-// newScanner wraps br with the line scanner shared by the text formats:
-// a 64 KiB initial buffer growing to 16 MiB for pathological lines.
-func newScanner(br *bufio.Reader) *bufio.Scanner {
-	sc := bufio.NewScanner(br)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	return sc
+	return FormatAuto, fmt.Errorf("%w: no decisive line in the first %d bytes", ErrUnknownFormat, sniffWindow)
 }

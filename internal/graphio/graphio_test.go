@@ -1,14 +1,16 @@
 package graphio
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"pslocal/internal/core"
 	"pslocal/internal/graph"
@@ -142,52 +144,64 @@ func TestEncodeCompat(t *testing.T) {
 	}
 }
 
+// tooManyNodes is the smallest node count the readers reject.
+var tooManyNodes = strconv.Itoa(MaxNodes + 1)
+
+// malformedInput is a rejected input and the sentinel its error matches.
+type malformedInput struct {
+	name   string
+	format Format
+	input  string
+	want   error
+}
+
+// malformedGraphInputs feeds TestMalformedGraphInputs and seeds
+// FuzzReadMatchesReference.
+var malformedGraphInputs = []malformedInput{
+	// Edge list.
+	{"edgelist/empty", FormatEdgeList, "", ErrFormat},
+	{"edgelist/truncated header", FormatEdgeList, "graph 5\n0 1\n", ErrFormat},
+	{"edgelist/bad header counts", FormatEdgeList, "graph x y\n", ErrFormat},
+	{"edgelist/wrong kind", FormatEdgeList, "hypergraph 5 1\n0 1\n", ErrFormat},
+	{"edgelist/negative n", FormatEdgeList, "graph -5 0\n", ErrFormat},
+	{"edgelist/too many nodes", FormatEdgeList, "graph " + tooManyNodes + " 0\n", ErrTooLarge},
+	{"edgelist/count mismatch", FormatEdgeList, "graph 5 2\n0 1\n", ErrFormat},
+	{"edgelist/bad endpoint count", FormatEdgeList, "graph 5 1\n0 1 2\n", ErrFormat},
+	{"edgelist/bad vertex token", FormatEdgeList, "graph 5 1\n0 x\n", ErrFormat},
+	{"edgelist/vertex overflow", FormatEdgeList, "graph 5 1\n0 5000000000\n", ErrFormat},
+	{"edgelist/vertex out of range", FormatEdgeList, "graph 5 1\n0 5\n", ErrFormat},
+	{"edgelist/self loop", FormatEdgeList, "graph 5 1\n2 2\n", ErrFormat},
+	{"edgelist/duplicate edge", FormatEdgeList, "graph 5 2\n0 1\n1 0\n", ErrDuplicateEdge},
+	// DIMACS.
+	{"dimacs/missing p", FormatDIMACS, "c only a comment\n", ErrFormat},
+	{"dimacs/truncated p", FormatDIMACS, "p edge 5\ne 1 2\n", ErrFormat},
+	{"dimacs/too many nodes", FormatDIMACS, "p edge " + tooManyNodes + " 0\n", ErrTooLarge},
+	{"dimacs/second p", FormatDIMACS, "p edge 5 0\np edge 5 0\n", ErrFormat},
+	{"dimacs/edge before p", FormatDIMACS, "e 1 2\np edge 5 1\n", ErrFormat},
+	{"dimacs/count mismatch", FormatDIMACS, "p edge 5 2\ne 1 2\n", ErrFormat},
+	{"dimacs/zero-based vertex", FormatDIMACS, "p edge 5 1\ne 0 1\n", ErrFormat},
+	{"dimacs/vertex out of range", FormatDIMACS, "p edge 5 1\ne 1 6\n", ErrFormat},
+	{"dimacs/vertex overflow", FormatDIMACS, "p edge 5 1\ne 1 5000000000\n", ErrFormat},
+	{"dimacs/unknown line", FormatDIMACS, "p edge 5 1\nq 1 2\n", ErrFormat},
+	{"dimacs/duplicate edge", FormatDIMACS, "p edge 5 2\ne 1 2\ne 2 1\n", ErrDuplicateEdge},
+	// JSON.
+	{"json/truncated", FormatJSON, `{"type":"graph","n":3`, ErrFormat},
+	{"json/wrong type", FormatJSON, `{"type":"hypergraph","n":3,"edges":[]}`, ErrFormat},
+	{"json/missing n", FormatJSON, `{"type":"graph","edges":[[0,1]]}`, ErrFormat},
+	{"json/negative n", FormatJSON, `{"type":"graph","n":-1,"edges":[]}`, ErrFormat},
+	{"json/too many nodes", FormatJSON, `{"n":` + tooManyNodes + `}`, ErrTooLarge},
+	{"json/repeated key", FormatJSON, `{"type":"graph","n":3,"n":3,"edges":[]}`, ErrFormat},
+	{"json/unknown key", FormatJSON, `{"type":"graph","n":3,"weight":1,"edges":[]}`, ErrFormat},
+	{"json/bad arity", FormatJSON, `{"type":"graph","n":3,"edges":[[0,1,2]]}`, ErrFormat},
+	{"json/non-integer", FormatJSON, `{"type":"graph","n":3,"edges":[[0,1.5]]}`, ErrFormat},
+	{"json/vertex overflow", FormatJSON, `{"type":"graph","n":3,"edges":[[0,5000000000]]}`, ErrFormat},
+	{"json/vertex out of range", FormatJSON, `{"type":"graph","n":3,"edges":[[0,3]]}`, ErrFormat},
+	{"json/trailing data", FormatJSON, `{"type":"graph","n":3,"edges":[]}{}`, ErrFormat},
+	{"json/duplicate edge", FormatJSON, `{"type":"graph","n":3,"edges":[[0,1],[1,0]]}`, ErrDuplicateEdge},
+}
+
 func TestMalformedGraphInputs(t *testing.T) {
-	cases := []struct {
-		name   string
-		format Format
-		input  string
-		want   error
-	}{
-		// Edge list.
-		{"edgelist/empty", FormatEdgeList, "", ErrFormat},
-		{"edgelist/truncated header", FormatEdgeList, "graph 5\n0 1\n", ErrFormat},
-		{"edgelist/bad header counts", FormatEdgeList, "graph x y\n", ErrFormat},
-		{"edgelist/wrong kind", FormatEdgeList, "hypergraph 5 1\n0 1\n", ErrFormat},
-		{"edgelist/negative n", FormatEdgeList, "graph -5 0\n", ErrFormat},
-		{"edgelist/count mismatch", FormatEdgeList, "graph 5 2\n0 1\n", ErrFormat},
-		{"edgelist/bad endpoint count", FormatEdgeList, "graph 5 1\n0 1 2\n", ErrFormat},
-		{"edgelist/bad vertex token", FormatEdgeList, "graph 5 1\n0 x\n", ErrFormat},
-		{"edgelist/vertex overflow", FormatEdgeList, "graph 5 1\n0 5000000000\n", ErrFormat},
-		{"edgelist/vertex out of range", FormatEdgeList, "graph 5 1\n0 5\n", ErrFormat},
-		{"edgelist/self loop", FormatEdgeList, "graph 5 1\n2 2\n", ErrFormat},
-		{"edgelist/duplicate edge", FormatEdgeList, "graph 5 2\n0 1\n1 0\n", ErrDuplicateEdge},
-		// DIMACS.
-		{"dimacs/missing p", FormatDIMACS, "c only a comment\n", ErrFormat},
-		{"dimacs/truncated p", FormatDIMACS, "p edge 5\ne 1 2\n", ErrFormat},
-		{"dimacs/second p", FormatDIMACS, "p edge 5 0\np edge 5 0\n", ErrFormat},
-		{"dimacs/edge before p", FormatDIMACS, "e 1 2\np edge 5 1\n", ErrFormat},
-		{"dimacs/count mismatch", FormatDIMACS, "p edge 5 2\ne 1 2\n", ErrFormat},
-		{"dimacs/zero-based vertex", FormatDIMACS, "p edge 5 1\ne 0 1\n", ErrFormat},
-		{"dimacs/vertex out of range", FormatDIMACS, "p edge 5 1\ne 1 6\n", ErrFormat},
-		{"dimacs/vertex overflow", FormatDIMACS, "p edge 5 1\ne 1 5000000000\n", ErrFormat},
-		{"dimacs/unknown line", FormatDIMACS, "p edge 5 1\nq 1 2\n", ErrFormat},
-		{"dimacs/duplicate edge", FormatDIMACS, "p edge 5 2\ne 1 2\ne 2 1\n", ErrDuplicateEdge},
-		// JSON.
-		{"json/truncated", FormatJSON, `{"type":"graph","n":3`, ErrFormat},
-		{"json/wrong type", FormatJSON, `{"type":"hypergraph","n":3,"edges":[]}`, ErrFormat},
-		{"json/missing n", FormatJSON, `{"type":"graph","edges":[[0,1]]}`, ErrFormat},
-		{"json/negative n", FormatJSON, `{"type":"graph","n":-1,"edges":[]}`, ErrFormat},
-		{"json/repeated key", FormatJSON, `{"type":"graph","n":3,"n":3,"edges":[]}`, ErrFormat},
-		{"json/unknown key", FormatJSON, `{"type":"graph","n":3,"weight":1,"edges":[]}`, ErrFormat},
-		{"json/bad arity", FormatJSON, `{"type":"graph","n":3,"edges":[[0,1,2]]}`, ErrFormat},
-		{"json/non-integer", FormatJSON, `{"type":"graph","n":3,"edges":[[0,1.5]]}`, ErrFormat},
-		{"json/vertex overflow", FormatJSON, `{"type":"graph","n":3,"edges":[[0,5000000000]]}`, ErrFormat},
-		{"json/vertex out of range", FormatJSON, `{"type":"graph","n":3,"edges":[[0,3]]}`, ErrFormat},
-		{"json/trailing data", FormatJSON, `{"type":"graph","n":3,"edges":[]}{}`, ErrFormat},
-		{"json/duplicate edge", FormatJSON, `{"type":"graph","n":3,"edges":[[0,1],[1,0]]}`, ErrDuplicateEdge},
-	}
-	for _, tc := range cases {
+	for _, tc := range malformedGraphInputs {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ReadGraph(strings.NewReader(tc.input), tc.format)
 			if !errors.Is(err, tc.want) {
@@ -197,31 +211,49 @@ func TestMalformedGraphInputs(t *testing.T) {
 	}
 }
 
+// malformedHypergraphInputs feeds TestMalformedHypergraphInputs and
+// seeds FuzzReadMatchesReference.
+var malformedHypergraphInputs = []malformedInput{
+	{"edgelist/empty", FormatEdgeList, "", ErrFormat},
+	{"edgelist/truncated header", FormatEdgeList, "hypergraph 5\n0 1\n", ErrFormat},
+	{"edgelist/too many nodes", FormatEdgeList, "hypergraph " + tooManyNodes + " 0\n", ErrTooLarge},
+	{"edgelist/wrong kind", FormatEdgeList, "graph 5 1\n0 1\n", ErrFormat},
+	{"edgelist/count mismatch", FormatEdgeList, "hypergraph 5 2\n0 1 2\n", ErrFormat},
+	{"edgelist/bad vertex token", FormatEdgeList, "hypergraph 3 1\n0 x\n", ErrFormat},
+	{"edgelist/vertex overflow", FormatEdgeList, "hypergraph 5 1\n0 1 5000000000\n", ErrFormat},
+	{"edgelist/vertex out of range", FormatEdgeList, "hypergraph 5 1\n0 1 7\n", ErrFormat},
+	{"json/wrong type", FormatJSON, `{"type":"graph","n":3,"edges":[]}`, ErrFormat},
+	{"json/empty edge", FormatJSON, `{"type":"hypergraph","n":3,"edges":[[]]}`, ErrFormat},
+	{"json/too many nodes", FormatJSON, `{"type":"hypergraph","n":` + tooManyNodes + `}`, ErrTooLarge},
+	{"json/vertex out of range", FormatJSON, `{"type":"hypergraph","n":3,"edges":[[0,1,3]]}`, ErrFormat},
+}
+
 func TestMalformedHypergraphInputs(t *testing.T) {
-	cases := []struct {
-		name   string
-		format Format
-		input  string
-		want   error
-	}{
-		{"edgelist/empty", FormatEdgeList, "", ErrFormat},
-		{"edgelist/truncated header", FormatEdgeList, "hypergraph 5\n0 1\n", ErrFormat},
-		{"edgelist/wrong kind", FormatEdgeList, "graph 5 1\n0 1\n", ErrFormat},
-		{"edgelist/count mismatch", FormatEdgeList, "hypergraph 5 2\n0 1 2\n", ErrFormat},
-		{"edgelist/bad vertex token", FormatEdgeList, "hypergraph 3 1\n0 x\n", ErrFormat},
-		{"edgelist/vertex overflow", FormatEdgeList, "hypergraph 5 1\n0 1 5000000000\n", ErrFormat},
-		{"edgelist/vertex out of range", FormatEdgeList, "hypergraph 5 1\n0 1 7\n", ErrFormat},
-		{"json/wrong type", FormatJSON, `{"type":"graph","n":3,"edges":[]}`, ErrFormat},
-		{"json/empty edge", FormatJSON, `{"type":"hypergraph","n":3,"edges":[[]]}`, ErrFormat},
-		{"json/vertex out of range", FormatJSON, `{"type":"hypergraph","n":3,"edges":[[0,1,3]]}`, ErrFormat},
-	}
-	for _, tc := range cases {
+	for _, tc := range malformedHypergraphInputs {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ReadHypergraph(strings.NewReader(tc.input), tc.format)
 			if !errors.Is(err, tc.want) {
 				t.Errorf("ReadHypergraph error = %v, want %v", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestReadErrorKeepsCause pins that a source failing part way through
+// the body is reported as a read failure under every format: the cause
+// stays reachable and the error is not ErrFormat.
+func TestReadErrorKeepsCause(t *testing.T) {
+	cause := errors.New("connection torn down")
+	for _, f := range []Format{FormatAuto, FormatEdgeList, FormatDIMACS, FormatJSON} {
+		body := func() io.Reader {
+			return io.MultiReader(strings.NewReader(`{"type":"graph","n":`), iotest.ErrReader(cause))
+		}
+		if _, err := ReadGraph(body(), f); !errors.Is(err, cause) || errors.Is(err, ErrFormat) {
+			t.Errorf("ReadGraph(%v) error = %v, want the read failure", f, err)
+		}
+		if _, err := ReadHypergraph(body(), f); !errors.Is(err, cause) || errors.Is(err, ErrFormat) {
+			t.Errorf("ReadHypergraph(%v) error = %v, want the read failure", f, err)
+		}
 	}
 }
 
@@ -250,6 +282,21 @@ func TestHeaderEdgeCountOnlyHintsCapacity(t *testing.T) {
 	}
 }
 
+// TestNodeCountLimit pins the node-count policy: a count of MaxNodes
+// passes, one more fails with ErrTooLarge, and ErrTooLarge is a kind of
+// ErrFormat, so callers that map ErrFormat onto a client error (cfserve
+// answers 400) need no new case. The readers' use of the check is pinned
+// by the "too many nodes" rows of the malformed-input tables.
+func TestNodeCountLimit(t *testing.T) {
+	if err := checkNodeCount(MaxNodes); err != nil {
+		t.Errorf("checkNodeCount(MaxNodes) = %v, want nil", err)
+	}
+	err := checkNodeCount(MaxNodes + 1)
+	if !errors.Is(err, ErrTooLarge) || !errors.Is(err, ErrFormat) {
+		t.Errorf("checkNodeCount(MaxNodes+1) = %v, want ErrTooLarge and ErrFormat", err)
+	}
+}
+
 func TestSniffFormat(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -269,7 +316,7 @@ func TestSniffFormat(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := sniffFormat(bufio.NewReader(strings.NewReader(tc.input)))
+			got, err := sniffFormat([]byte(tc.input))
 			if tc.err != nil {
 				if !errors.Is(err, tc.err) {
 					t.Fatalf("sniffFormat error = %v, want %v", err, tc.err)

@@ -9,15 +9,15 @@ package graphio
 // An optional "weights":[w0,...,w_{n-1}] key carries per-vertex weights;
 // the writers emit it only on weighted instances, so unweighted documents
 // round-trip byte-identically. The document is decoded token by token
-// with json.Decoder, so only the parsed int32 edge data is ever resident
-// — the raw text streams through the decoder's fixed buffer. Decoding is
-// strict: unknown or repeated keys, a "type" that contradicts the
-// requested substrate, fractional or out-of-range numbers, a weight
-// vector of the wrong length, and trailing data after the closing brace
-// are all reported as ErrFormat.
+// with a json.Decoder over the body. Decoding is strict: unknown or
+// repeated keys, a "type" that contradicts the requested substrate,
+// fractional or out-of-range numbers, a weight vector of the wrong
+// length, and trailing data after the closing brace are all reported as
+// ErrFormat.
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -27,9 +27,9 @@ import (
 	"pslocal/internal/hypergraph"
 )
 
-// readJSONGraph parses a {"type":"graph",...} document.
-func readJSONGraph(br *bufio.Reader) (*graph.Graph, error) {
-	n, edges, ws, err := readJSONInstance(br, "graph")
+// parseJSONGraph parses a {"type":"graph",...} document.
+func parseJSONGraph(data []byte) (*graph.Graph, error) {
+	n, edges, ws, err := readJSONInstance(bytes.NewReader(data), "graph")
 	if err != nil {
 		return nil, err
 	}
@@ -75,9 +75,9 @@ func writeJSONGraph(w io.Writer, g *graph.Graph) error {
 	return bw.Flush()
 }
 
-// readJSONHypergraph parses a {"type":"hypergraph",...} document.
-func readJSONHypergraph(br *bufio.Reader) (*hypergraph.Hypergraph, error) {
-	n, edges, ws, err := readJSONInstance(br, "hypergraph")
+// parseJSONHypergraph parses a {"type":"hypergraph",...} document.
+func parseJSONHypergraph(data []byte) (*hypergraph.Hypergraph, error) {
+	n, edges, ws, err := readJSONInstance(bytes.NewReader(data), "hypergraph")
 	if err != nil {
 		return nil, err
 	}
@@ -172,6 +172,9 @@ func readJSONInstance(r io.Reader, wantType string) (n int, edges [][]int32, ws 
 			}
 			if v < 0 {
 				return 0, nil, nil, fmt.Errorf("%w: negative n %d", ErrFormat, v)
+			}
+			if err := checkNodeCount(int64(v)); err != nil {
+				return 0, nil, nil, err
 			}
 			n, haveN = int(v), true
 		case "edges":

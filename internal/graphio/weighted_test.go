@@ -131,47 +131,53 @@ func TestUnweightedEncodingUnchanged(t *testing.T) {
 	}
 }
 
+// weightedGraphParseErrors feeds TestWeightedGraphParseErrors and seeds
+// FuzzReadMatchesReference; every input fails with ErrFormat.
+var weightedGraphParseErrors = []struct {
+	name   string
+	format Format
+	input  string
+}{
+	{"edgelist weight overflow", FormatEdgeList, "3 0\nv 0 99999999999999999999\n"},
+	{"edgelist negative weight", FormatEdgeList, "3 0\nv 0 -2\n"},
+	{"edgelist weight above cap", FormatEdgeList, "3 0\nv 0 2147483648\n"},
+	{"edgelist vertex out of range", FormatEdgeList, "3 0\nv 7 2\n"},
+	{"edgelist duplicate declaration", FormatEdgeList, "3 0\nv 1 2\nv 1 3\n"},
+	{"edgelist bad weight token", FormatEdgeList, "3 0\nv 1 two\n"},
+	{"dimacs negative weight", FormatDIMACS, "p edge 3 0\nn 1 -5\n"},
+	{"dimacs weight overflow", FormatDIMACS, "p edge 3 0\nn 1 99999999999999999999\n"},
+	{"dimacs node before problem line", FormatDIMACS, "n 1 5\np edge 3 0\n"},
+	{"dimacs node id out of range", FormatDIMACS, "p edge 3 0\nn 4 5\n"},
+	{"dimacs short node line", FormatDIMACS, "p edge 3 0\nn 1\n"},
+	{"json weight length mismatch", FormatJSON, `{"type":"graph","n":3,"edges":[],"weights":[1,2]}`},
+	{"json empty weights nonempty graph", FormatJSON, `{"type":"graph","n":3,"edges":[],"weights":[]}`},
+	{"json negative weight", FormatJSON, `{"type":"graph","n":2,"edges":[],"weights":[1,-3]}`},
+	{"json non-integer weight", FormatJSON, `{"type":"graph","n":2,"edges":[],"weights":[1,2.5]}`},
+	{"json weight overflow", FormatJSON, `{"type":"graph","n":2,"edges":[],"weights":[1,99999999999999999999]}`},
+}
+
 func TestWeightedGraphParseErrors(t *testing.T) {
-	cases := []struct {
-		name   string
-		format Format
-		input  string
-	}{
-		{"edgelist weight overflow", FormatEdgeList, "3 0\nv 0 99999999999999999999\n"},
-		{"edgelist negative weight", FormatEdgeList, "3 0\nv 0 -2\n"},
-		{"edgelist weight above cap", FormatEdgeList, "3 0\nv 0 2147483648\n"},
-		{"edgelist vertex out of range", FormatEdgeList, "3 0\nv 7 2\n"},
-		{"edgelist duplicate declaration", FormatEdgeList, "3 0\nv 1 2\nv 1 3\n"},
-		{"edgelist bad weight token", FormatEdgeList, "3 0\nv 1 two\n"},
-		{"dimacs negative weight", FormatDIMACS, "p edge 3 0\nn 1 -5\n"},
-		{"dimacs weight overflow", FormatDIMACS, "p edge 3 0\nn 1 99999999999999999999\n"},
-		{"dimacs node before problem line", FormatDIMACS, "n 1 5\np edge 3 0\n"},
-		{"dimacs node id out of range", FormatDIMACS, "p edge 3 0\nn 4 5\n"},
-		{"dimacs short node line", FormatDIMACS, "p edge 3 0\nn 1\n"},
-		{"json weight length mismatch", FormatJSON, `{"type":"graph","n":3,"edges":[],"weights":[1,2]}`},
-		{"json empty weights nonempty graph", FormatJSON, `{"type":"graph","n":3,"edges":[],"weights":[]}`},
-		{"json negative weight", FormatJSON, `{"type":"graph","n":2,"edges":[],"weights":[1,-3]}`},
-		{"json non-integer weight", FormatJSON, `{"type":"graph","n":2,"edges":[],"weights":[1,2.5]}`},
-		{"json weight overflow", FormatJSON, `{"type":"graph","n":2,"edges":[],"weights":[1,99999999999999999999]}`},
-	}
-	for _, tc := range cases {
+	for _, tc := range weightedGraphParseErrors {
 		if _, err := ReadGraph(strings.NewReader(tc.input), tc.format); !errors.Is(err, ErrFormat) {
 			t.Errorf("%s: err = %v, want ErrFormat", tc.name, err)
 		}
 	}
 }
 
+// weightedHypergraphParseErrors feeds TestWeightedHypergraphParseErrors
+// and seeds FuzzReadMatchesReference; every input fails with ErrFormat.
+var weightedHypergraphParseErrors = []struct {
+	name   string
+	format Format
+	input  string
+}{
+	{"edgelist negative weight", FormatEdgeList, "h 3 0\nv 0 -2\n"},
+	{"edgelist duplicate declaration", FormatEdgeList, "h 3 0\nv 1 2\nv 1 3\n"},
+	{"json weight length mismatch", FormatJSON, `{"type":"hypergraph","n":3,"edges":[],"weights":[1,2]}`},
+}
+
 func TestWeightedHypergraphParseErrors(t *testing.T) {
-	cases := []struct {
-		name   string
-		format Format
-		input  string
-	}{
-		{"edgelist negative weight", FormatEdgeList, "h 3 0\nv 0 -2\n"},
-		{"edgelist duplicate declaration", FormatEdgeList, "h 3 0\nv 1 2\nv 1 3\n"},
-		{"json weight length mismatch", FormatJSON, `{"type":"hypergraph","n":3,"edges":[],"weights":[1,2]}`},
-	}
-	for _, tc := range cases {
+	for _, tc := range weightedHypergraphParseErrors {
 		if _, err := ReadHypergraph(strings.NewReader(tc.input), tc.format); !errors.Is(err, ErrFormat) {
 			t.Errorf("%s: err = %v, want ErrFormat", tc.name, err)
 		}

@@ -5,8 +5,10 @@ package solver
 // request allocates nothing — the body lands in a pooled buffer, the
 // content hash runs through a pooled sha256 state into fixed arrays, and
 // the cache lookup borrows the entry's canonical key string instead of
-// materialising a new one. BenchmarkSolverCacheHitAllocs holds the line
-// at 0 allocs/op; the bench CI allocation gate keeps it there.
+// materialising a new one. A miss, and every read without a cache,
+// parses from the same pooled buffer. BenchmarkSolverCacheHitAllocs
+// holds the hit line at 0 allocs/op; the bench CI allocation gate keeps it
+// there.
 
 import (
 	"crypto/sha256"

@@ -13,7 +13,6 @@
 package solver
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -456,8 +455,8 @@ type Instance struct {
 	// Kind is "graph" or "hypergraph".
 	Kind string
 	// Key is the full sha256 content hash (hex) keying the cache; empty
-	// when caching is disabled (the body then streams straight into the
-	// parser, unbuffered and unhashed).
+	// when caching is disabled (the body is then read and parsed but not
+	// hashed).
 	Key string
 	// CacheHit reports whether parsing was skipped.
 	CacheHit bool
@@ -541,8 +540,8 @@ func (s *Solver) MaxISReader(ctx context.Context, r io.Reader, f graphio.Format)
 // readInstance plumbing, named (not closures) so the cache-hit path
 // carries no per-call closure values.
 
-func parseGraphEntry(r io.Reader, f graphio.Format) (any, error) {
-	g, err := graphio.ReadGraph(r, f)
+func parseGraphEntry(body []byte, f graphio.Format) (any, error) {
+	g, err := graphio.ParseGraph(body, f)
 	if err != nil {
 		return nil, err
 	}
@@ -554,8 +553,8 @@ func dimsGraphEntry(v any) (int, int) {
 	return cg.g.N(), cg.g.M()
 }
 
-func parseHypergraphEntry(r io.Reader, f graphio.Format) (any, error) {
-	return graphio.ReadHypergraph(r, f)
+func parseHypergraphEntry(body []byte, f graphio.Format) (any, error) {
+	return graphio.ParseHypergraph(body, f)
 }
 
 func dimsHypergraphEntry(v any) (int, int) {
@@ -563,29 +562,19 @@ func dimsHypergraphEntry(v any) (int, int) {
 	return h.N(), h.M()
 }
 
-// readInstance funnels both substrates through one cache flow, filling
-// the caller-owned inst in place. With a cache the body lands in pooled
-// scratch and is hashed through pooled sha256 state (the key is the whole
-// point), and a hit borrows the entry's canonical key string — the whole
-// hit path allocates nothing. Without a cache the reader streams straight
-// into graphio and Instance.Key stays empty — no buffering, no hashing.
+// readInstance funnels both substrates through one read-then-parse flow,
+// filling the caller-owned inst in place. The body lands in pooled
+// scratch and is parsed from there; the parsed instance copies what it
+// keeps, so the scratch is free for the next request once this returns.
+// With a cache the body is hashed through pooled sha256 state (the key
+// is the whole point), and a hit borrows the entry's canonical key
+// string — the whole hit path allocates nothing. Without a cache nothing
+// is hashed and Instance.Key stays empty.
 func (s *Solver) readInstance(ctx context.Context, r io.Reader, f graphio.Format, kind string, inst *Instance,
-	parse func(io.Reader, graphio.Format) (any, error),
+	parse func([]byte, graphio.Format) (any, error),
 	dims func(any) (int, int)) (any, error) {
 	tr := obs.TraceFrom(ctx)
 	*inst = Instance{Kind: kind}
-	if s.cache == nil {
-		sp := tr.Start("parse")
-		v, err := parse(r, f)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		inst.N, inst.M = dims(v)
-		inst.value = v
-		sp.SetDims(inst.N, inst.M)
-		return v, nil
-	}
 	sc := grabServeScratch()
 	defer releaseServeScratch(sc)
 	sp := tr.Start("read_hash")
@@ -594,29 +583,35 @@ func (s *Solver) readInstance(ctx context.Context, r io.Reader, f graphio.Format
 		sp.End()
 		return nil, fmt.Errorf("%w: %w", ErrReadInstance, err)
 	}
-	keyHex := sc.key(kind, f.String(), body)
-	sp.End()
-	lookup := tr.Start("cache_lookup")
-	if cached, canonical, ok := s.cache.getBytes(keyHex); ok {
-		inst.Key = canonical
-		inst.CacheHit = true
-		inst.N, inst.M = dims(cached)
-		inst.value = cached
-		lookup.SetDetail("hit")
-		lookup.SetDims(inst.N, inst.M)
+	if s.cache != nil {
+		keyHex := sc.key(kind, f.String(), body)
+		sp.End()
+		lookup := tr.Start("cache_lookup")
+		if cached, canonical, ok := s.cache.getBytes(keyHex); ok {
+			inst.Key = canonical
+			inst.CacheHit = true
+			inst.N, inst.M = dims(cached)
+			inst.value = cached
+			lookup.SetDetail("hit")
+			lookup.SetDims(inst.N, inst.M)
+			lookup.End()
+			return cached, nil
+		}
+		lookup.SetDetail("miss")
 		lookup.End()
-		return cached, nil
+		inst.Key = string(keyHex)
+	} else {
+		sp.End()
 	}
-	lookup.SetDetail("miss")
-	lookup.End()
-	inst.Key = string(keyHex)
 	parseSp := tr.Start("parse")
-	v, err := parse(bytes.NewReader(body), f)
+	v, err := parse(body, f)
 	parseSp.End()
 	if err != nil {
 		return nil, err
 	}
-	s.cache.put(inst.Key, v)
+	if s.cache != nil {
+		s.cache.put(inst.Key, v)
+	}
 	inst.N, inst.M = dims(v)
 	inst.value = v
 	parseSp.SetDims(inst.N, inst.M)

@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -411,31 +413,135 @@ func TestReaderErrorsAreTyped(t *testing.T) {
 	}
 }
 
-// failingReader errors after its prefix is consumed.
+// failingReader fails every read with err.
 type failingReader struct{ err error }
 
 func (r *failingReader) Read([]byte) (int, error) { return 0, r.err }
 
 // TestReadInstanceErrorTyped pins the read/parse error distinction: a
 // body that fails to *read* surfaces ErrReadInstance with the cause
-// reachable, which cfserve maps to a client-side status.
+// reachable, which cfserve maps to a client-side status. That holds with
+// and without a cache, for both readers, under every format the body
+// could be sniffed as, and after part of the body arrived.
 func TestReadInstanceErrorTyped(t *testing.T) {
 	cause := fmt.Errorf("connection torn down")
-	sv := New(WithCache(2))
-	_, _, err := sv.SolveReader(context.Background(), &failingReader{err: cause}, graphio.FormatAuto)
-	if !errors.Is(err, ErrReadInstance) {
-		t.Errorf("error = %v, want ErrReadInstance", err)
+	body := func() io.Reader {
+		return io.MultiReader(strings.NewReader(`{"type":"graph","n":`), &failingReader{err: cause})
 	}
-	if !errors.Is(err, cause) {
-		t.Errorf("error = %v, cause not reachable", err)
+	for _, sv := range []*Solver{New(WithCache(2)), New()} {
+		for _, f := range []graphio.Format{graphio.FormatAuto, graphio.FormatEdgeList, graphio.FormatJSON} {
+			_, _, err := sv.SolveReader(context.Background(), body(), f)
+			if !errors.Is(err, ErrReadInstance) || !errors.Is(err, cause) {
+				t.Errorf("SolveReader(%v), cache %v: error = %v, want ErrReadInstance wrapping the cause", f, sv.cache != nil, err)
+			}
+			_, _, err = sv.MaxISReader(context.Background(), body(), f)
+			if !errors.Is(err, ErrReadInstance) || !errors.Is(err, cause) {
+				t.Errorf("MaxISReader(%v), cache %v: error = %v, want ErrReadInstance wrapping the cause", f, sv.cache != nil, err)
+			}
+		}
 	}
 }
 
-// TestCachelessReaderStreams pins the no-cache path: the instance parses
-// straight from the reader (no hash key) and still solves.
+// recordingReader serves src and keeps every buffer it filled: slices of
+// the Solver's pooled scratch body.
+type recordingReader struct {
+	src    []byte
+	filled [][]byte
+}
+
+func (r *recordingReader) Read(p []byte) (int, error) {
+	if len(r.src) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, r.src)
+	r.src = r.src[n:]
+	r.filled = append(r.filled, p[:n])
+	return n, nil
+}
+
+// scribbleRecycledBodies overwrites what the next requests would: the
+// buffers r filled, and the bodies of the scratches the pool hands out
+// next (the one the last request released among them).
+func scribbleRecycledBodies(r *recordingReader) {
+	for _, b := range r.filled {
+		for i := range b {
+			b[i] = '#'
+		}
+	}
+	var held []*serveScratch
+	for range 8 {
+		sc := grabServeScratch()
+		b := sc.body[:cap(sc.body)]
+		for i := range b {
+			b[i] = '#'
+		}
+		held = append(held, sc)
+	}
+	for _, sc := range held {
+		releaseServeScratch(sc)
+	}
+}
+
+// TestParsedInstanceOutlivesPooledBody pins that the parse copies out
+// what it keeps: a cache miss parses in place from pooled scratch, which
+// the next request overwrites, so the cached instance must not alias it.
+func TestParsedInstanceOutlivesPooledBody(t *testing.T) {
+	ctx := context.Background()
+	sv := New(WithK(2), WithCache(8))
+	g := graph.GnP(40, 0.2, rand.New(rand.NewSource(5)))
+	for _, f := range []graphio.Format{graphio.FormatEdgeList, graphio.FormatDIMACS, graphio.FormatJSON} {
+		var buf bytes.Buffer
+		if err := graphio.WriteGraph(&buf, g, f); err != nil {
+			t.Fatal(err)
+		}
+		r := &recordingReader{src: buf.Bytes()}
+		if _, inst, err := sv.MaxISReader(ctx, r, f); err != nil || inst.CacheHit {
+			t.Fatalf("%v: miss = %+v, %v", f, inst, err)
+		}
+		scribbleRecycledBodies(r)
+		_, inst, err := sv.MaxISReader(ctx, bytes.NewReader(buf.Bytes()), f)
+		if err != nil || !inst.CacheHit {
+			t.Fatalf("%v: hit = %+v, %v", f, inst, err)
+		}
+		want, err := graphio.ParseGraph(buf.Bytes(), f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !graph.Equal(inst.Graph(), want) {
+			t.Errorf("%v: cached graph changed when its pooled body was overwritten", f)
+		}
+	}
+	h, _ := testInstance(t, 5)
+	for _, f := range []graphio.Format{graphio.FormatEdgeList, graphio.FormatJSON} {
+		var buf bytes.Buffer
+		if err := graphio.WriteHypergraph(&buf, h, f); err != nil {
+			t.Fatal(err)
+		}
+		r := &recordingReader{src: buf.Bytes()}
+		if _, inst, err := sv.SolveReader(ctx, r, f); err != nil || inst.CacheHit {
+			t.Fatalf("%v: miss = %+v, %v", f, inst, err)
+		}
+		scribbleRecycledBodies(r)
+		_, inst, err := sv.SolveReader(ctx, bytes.NewReader(buf.Bytes()), f)
+		if err != nil || !inst.CacheHit {
+			t.Fatalf("%v: hit = %+v, %v", f, inst, err)
+		}
+		want, err := graphio.ParseHypergraph(buf.Bytes(), f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := inst.Hypergraph()
+		if got.N() != want.N() || !reflect.DeepEqual(got.Edges(), want.Edges()) {
+			t.Errorf("%v: cached hypergraph changed when its pooled body was overwritten", f)
+		}
+	}
+}
+
+// TestCachelessReaderStreams pins the no-cache path: the instance is
+// read and parsed without a hash key and still solves.
 func TestCachelessReaderStreams(t *testing.T) {
 	_, body := testInstance(t, 40)
-	sv := New(WithK(2)) // no WithCache: streaming path
+	sv := New(WithK(2)) // no WithCache: no hashing
 	res, inst, err := sv.SolveReader(context.Background(), bytes.NewReader(body), graphio.FormatAuto)
 	if err != nil {
 		t.Fatal(err)

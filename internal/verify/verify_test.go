@@ -2,6 +2,7 @@ package verify
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -35,6 +36,70 @@ func TestIndependentSet(t *testing.T) {
 				t.Errorf("error %v should wrap ErrNotIndependent", err)
 			}
 		})
+	}
+}
+
+// independentSetRef is the edge walk IndependentSet replaced: membership
+// in a map, then every edge of g in ascending order.
+func independentSetRef(g *graph.Graph, nodes []int32) error {
+	seen := make(map[int32]bool, len(nodes))
+	for _, v := range nodes {
+		if v < 0 || int(v) >= g.N() {
+			return fmt.Errorf("%w: node %d out of range", ErrNotIndependent, v)
+		}
+		if seen[v] {
+			return fmt.Errorf("%w: node %d repeated", ErrNotIndependent, v)
+		}
+		seen[v] = true
+	}
+	var err error
+	g.ForEachEdge(func(u, v int32) bool {
+		if seen[u] && seen[v] {
+			err = fmt.Errorf("%w: edge {%d,%d} inside the set", ErrNotIndependent, u, v)
+			return false
+		}
+		return true
+	})
+	return err
+}
+
+// TestIndependentSetMatchesEdgeWalk pins the reported violation: on random
+// graphs and unsorted node lists, some out of range or repeated, some
+// independent, IndependentSet gives the edge walk's verdict and text.
+func TestIndependentSetMatchesEdgeWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 1000; trial++ {
+		n := 1 + rng.Intn(30)
+		g := graph.GnP(n, rng.Float64()*0.4, rng)
+		var nodes []int32
+		if trial%2 == 0 {
+			// A greedy independent set, shuffled, with maybe one
+			// vertex more.
+			taken := make([]bool, n)
+			for _, v := range rng.Perm(n) {
+				free := true
+				g.ForEachNeighbor(int32(v), func(u int32) bool {
+					free = !taken[u]
+					return free
+				})
+				if free {
+					taken[v] = true
+					nodes = append(nodes, int32(v))
+				}
+			}
+			if rng.Intn(2) == 0 {
+				nodes = append(nodes, int32(rng.Intn(n)))
+			}
+			rng.Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
+		} else {
+			for range rng.Intn(n + 1) {
+				nodes = append(nodes, int32(rng.Intn(n+2))-1)
+			}
+		}
+		got, want := IndependentSet(g, nodes), independentSetRef(g, nodes)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("IndependentSet(%v, %v) = %v, edge walk %v", g, nodes, got, want)
+		}
 	}
 }
 

@@ -37,7 +37,7 @@ go test -run '^$' -bench 'SolverCacheHitAllocs|SolverMaxISReaderHot' -benchmem -
   ./internal/solver/ >> "$tmp"
 go test -run '^$' -bench 'SpanRecord' -benchmem -count=1 $benchtime \
   ./internal/obs/ >> "$tmp"
-go test -run '^$' -bench 'ReadGraphEdgeListDense' -benchmem -count=1 $benchtime \
+go test -run '^$' -bench 'ReadGraphEdgeListDense|ReadHypergraphJSONCold' -benchmem -count=1 $benchtime \
   ./internal/graphio/ >> "$tmp"
 cat "$tmp"
 
@@ -45,9 +45,10 @@ sha="$(git rev-parse HEAD 2>/dev/null || echo unknown)"
 if ! git diff-index --quiet HEAD -- 2>/dev/null; then
   sha="${sha}-dirty"
 fi
-# The alloc gate holds the zero-allocation serve line, and the cold
-# parse's line of no per-line allocations: if allocs/op on a gated
-# benchmark grows vs the recorded trajectory, the merge fails.
+# The alloc gate holds the zero-allocation serve line, the cold edge-list
+# parse's line of no per-line allocations, and the cold JSON parse's
+# count: if allocs/op on a gated benchmark grows vs the recorded
+# trajectory, the merge fails.
 # BENCH_LOAD_PERF can point at a cfload -perf-out report to fold Cfload*
 # load-test results into the same entry (scripts/loadsmoke.sh records its
 # own "<sha>-load" entry instead, so the two paths never collide).
@@ -57,5 +58,5 @@ if [ -n "${BENCH_LOAD_PERF:-}" ]; then
 fi
 # shellcheck disable=SC2086  # quickflag/loadflag are intentionally word-split
 go run ./scripts/benchmerge -out "$out" -sha "$sha" $quickflag $loadflag \
-  -alloc-gate 'SolverCacheHitAllocs|SolverMaxISReaderHot|SpanRecord|ReadGraphEdgeListDense' < "$tmp"
+  -alloc-gate 'SolverCacheHitAllocs|SolverMaxISReaderHot|SpanRecord|ReadGraphEdgeListDense|ReadHypergraphJSONCold' < "$tmp"
 echo "wrote $out"
