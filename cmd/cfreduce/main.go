@@ -14,8 +14,8 @@
 // oracle name of the maxis registry (see -mode help), including
 // portfolio:<a>,<b>,... names that race several oracles per phase;
 // -oracle is the explicit registry spelling and overrides -mode.
-// -workers sets the worker pool shared by conflict-graph construction
-// and portfolio solving (0 = GOMAXPROCS, 1 = serial).
+// -workers sets the worker pool of portfolio solving (0 = GOMAXPROCS,
+// 1 = serial); conflict-graph construction is serial.
 //
 // The command is a thin shell over a pslocal.Solver: the flags become
 // solver options, the solve runs under a signal context, so Ctrl-C
@@ -70,7 +70,7 @@ func run() error {
 		oracleName = flag.String("oracle", "",
 			"registry oracle name, incl. portfolio:<a>,<b>,... (overrides -mode)")
 		seed     = flag.Int64("seed", 1, "random seed (instance generation and randomized oracles)")
-		workers  = flag.Int("workers", 1, "construction/portfolio workers (0 = GOMAXPROCS)")
+		workers  = flag.Int("workers", 1, "portfolio workers (0 = GOMAXPROCS)")
 		printCol = flag.Bool("print-coloring", false, "dump the multicolouring")
 		timeout  = flag.Duration("timeout", 0, "abandon the reduction after this long, e.g. 30s (0 = unbounded)")
 	)

@@ -42,7 +42,7 @@ func run() (err error) {
 		seed    = flag.Int64("seed", 1, "random seed for all grids (the default shared by cfreduce and pscgen)")
 		quick   = flag.Bool("quick", false, "use the reduced benchmark grids")
 		only    = flag.String("only", "", "comma-separated subset, e.g. E1,E4,F2,A1 (empty = all)")
-		workers = flag.Int("workers", 1, "construction/portfolio workers (0 = GOMAXPROCS)")
+		workers = flag.Int("workers", 1, "portfolio workers (0 = GOMAXPROCS)")
 		oracle  = flag.String("oracle", "",
 			"portfolio oracle raced by E13, portfolio:<a>,<b>,... (empty = E13 default)")
 		outFile = flag.String("out", "", "write the rendered tables to this file instead of stdout")

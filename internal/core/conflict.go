@@ -19,52 +19,53 @@ package core
 // false; the lemma's proof (case E_color) indeed derives its contradiction
 // from a vertex u distinct from v. DESIGN.md records this reading.
 //
-// Construction is sharded by hyperedge block (E_edge, E_color) and by
-// vertex block (E_vertex) across the worker pool of engine.Options, each
-// shard emitting into a private buffer of a graph.ShardedBuilder. Node ids
-// come from pure offset arithmetic over the Index tables — NewIndex
-// validated the structure once, so the emission loops have no error paths.
-// DESIGN.md, "Execution engine", records the design.
+// Build and the virtual Luby run of localsim.go both read G_k row by row
+// from a rowWriter, which writes every triple's neighbourhood in id order
+// straight from the Index. Node ids come from pure offset arithmetic over
+// the Index tables — NewIndex validated the structure once, so the row
+// loops have no error paths. Adjacent states the same neighbourhood as a
+// predicate, beside the definition above; the tests hold the rows to it.
+// DESIGN.md, "G_k row emission", records the design.
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"pslocal/internal/engine"
 	"pslocal/internal/graph"
 )
 
-// Build materialises G_k for conflict-free k-colouring of h on the serial
-// path; BuildOpts is the parallel variant.
+// Build materialises G_k for conflict-free k-colouring of h.
 func Build(ix *Index) (*graph.Graph, error) {
-	return BuildOpts(ix, engine.Options{Workers: 1})
+	return BuildOpts(ix, engine.Options{})
 }
 
-// BuildOpts materialises G_k on opts' worker pool. The resulting CSR is
-// identical to the serial Build for every worker count (asserted by the
-// equivalence tests).
+// BuildOpts materialises G_k, checking opts' context between hyperedges.
+// The rows are written serially in id order, each already sorted, so the
+// CSR is filled in one pass with nothing to sort or merge; opts.Workers
+// does not widen the build.
 func BuildOpts(ix *Index, opts engine.Options) (*graph.Graph, error) {
 	h := ix.h
-	sb := graph.NewShardedBuilder(ix.NumNodes(), opts.WorkerCount())
-	// Phase A: E_edge cliques and E_color pairs, sharded by hyperedge
-	// block. Phase B: E_vertex pairs, sharded by vertex block. The phases
-	// run sequentially, so a shard buffer is never touched by two
-	// goroutines at once.
-	err := opts.ForEachShard(h.M(), func(shard int, s engine.Shard) error {
-		emitEdgeShard(ix, sb.Shard(shard), s.Lo, s.Hi)
-		return opts.Err()
-	})
-	if err != nil {
-		return nil, err
+	offsets := make([]int32, ix.NumNodes()+1)
+	targets := make([]int32, 0, rowBound(ix))
+	rows := rowWriter{ix: ix}
+	id := 0
+	for e := int32(0); int(e) < h.M(); e++ {
+		if err := opts.Err(); err != nil {
+			return nil, err
+		}
+		rows.reset(e)
+		for p := int32(0); int(p) < h.EdgeSize(int(e)); p++ {
+			for c := int32(1); c <= ix.k; c++ {
+				targets = rows.appendRow(targets, p, c)
+				id++
+				offsets[id] = int32(len(targets))
+			}
+		}
 	}
-	err = opts.ForEachShard(h.N(), func(shard int, s engine.Shard) error {
-		emitVertexShard(ix, sb.Shard(shard), s.Lo, s.Hi)
-		return opts.Err()
-	})
-	if err != nil {
-		return nil, err
-	}
-	g, err := sb.ParallelBuild(opts)
+	g, err := graph.FromCSR(offsets, targets)
 	if err != nil {
 		return nil, fmt.Errorf("core: conflict graph assembly: %w", err)
 	}
@@ -85,88 +86,119 @@ func BuildOpts(ix *Index, opts engine.Options) (*graph.Graph, error) {
 	return g, nil
 }
 
-// emitEdgeShard emits the E_edge cliques and E_color pairs whose container
-// edge lies in [lo, hi). Every id is derived by offset arithmetic; the two
-// endpoints can never coincide (same container: positions differ, different
-// containers: disjoint id blocks), so no equality guard is needed.
-func emitEdgeShard(ix *Index, b *graph.Builder, lo, hi int) {
-	h, k := ix.h, ix.k
-	// Exact emission volume of the shard: Σ C(|e|k, 2) for the cliques
-	// plus Σ_j Σ_{u ∈ e_j} (|e_j|-1)·deg(u)·k for E_color.
-	hint := 0
-	var edgeBuf, incBuf []int32
-	for j := lo; j < hi; j++ {
-		s := int(ix.edgeOffset[j+1] - ix.edgeOffset[j])
-		hint += s * (s - 1) / 2
-		edgeBuf = h.AppendEdge(edgeBuf[:0], j)
-		for _, u := range edgeBuf {
-			hint += (len(edgeBuf) - 1) * h.Degree(u) * int(k)
-		}
-	}
-	b.EdgeCapacityHint(hint)
-	for j := lo; j < hi; j++ {
-		// E_edge: clique over the |e|·k contiguous triples of edge j.
-		blo, bhi := ix.edgeOffset[j], ix.edgeOffset[j+1]
-		for a := blo; a < bhi; a++ {
-			for bb := a + 1; bb < bhi; bb++ {
-				b.AddEdge(a, bb)
-			}
-		}
-		// E_color, container j: for each ordered pair of distinct vertices
-		// (v, u) of edge j and each edge g containing u, connect
-		// (j, v, c) — (g, u, c) for every colour c. (The g = j pairs are
-		// already in the E_edge clique; the builder deduplicates.)
-		edgeBuf = h.AppendEdge(edgeBuf[:0], j)
-		for pu, u := range edgeBuf {
-			incBuf = h.AppendIncidentEdges(incBuf[:0], u)
-			pos := ix.incPos[u]
-			for pv := range edgeBuf {
-				if pv == pu {
-					continue
-				}
-				base1 := ix.idAt(int32(j), int32(pv), 1)
-				for i, g := range incBuf {
-					base2 := ix.idAt(g, pos[i], 1)
-					for c := int32(0); c < k; c++ {
-						b.AddEdge(base1+c, base2+c)
-					}
+// rowBound bounds the total length of G_k's rows from hyperedge sizes
+// and degrees, so BuildOpts sizes its targets once. By rowWriter's rule,
+// triple (e, v, c) takes |e|·k − 1 ids from block e, |g| + k − 2 from
+// each other g ∋ v, and |e ∩ g| from each g ∌ v that meets e. The bound
+// counts the last as Σ_{u ∈ e, u ≠ v} (deg u − 1), which adds |e ∩ g| − 1
+// for each other g ∋ v: it is exact unless two hyperedges share two
+// vertices, and never above twice the total.
+func rowBound(ix *Index) int {
+	h, k := ix.h, int(ix.k)
+	total := 0
+	for e := 0; e < h.M(); e++ {
+		edge := h.EdgeView(e)
+		for _, v := range edge {
+			row := len(edge)*k - 1
+			for _, u := range edge {
+				if u != v {
+					row += h.Degree(u) - 1
 				}
 			}
+			h.ForEachIncidentEdge(v, func(g int32) bool {
+				if int(g) != e {
+					row += h.EdgeSize(int(g)) + k - 2
+				}
+				return true
+			})
+			total += k * row
 		}
 	}
+	return total
 }
 
-// emitVertexShard emits the E_vertex pairs for vertices in [lo, hi): for
-// each pair of distinct incident edges, connect differing colours. Pairs
-// within a single incident edge are already inside its E_edge clique and
-// are skipped here.
-func emitVertexShard(ix *Index, b *graph.Builder, lo, hi int) {
-	h, k := ix.h, ix.k
-	hint := 0
-	for v := lo; v < hi; v++ {
-		d := h.Degree(int32(v))
-		hint += d * (d - 1) / 2 * int(k) * int(k-1)
+// rowWriter writes the rows of G_k one hyperedge e at a time. reset sorts
+// the incidences of e's members by (block, position in block) once; the
+// blocks are the id ranges of the hyperedges that meet e, and only they
+// hold neighbours of e's triples. appendRow then walks the blocks in
+// ascending order for one triple t = (e, v, c), and each block g adds:
+//
+//	g = e:  every id of the block except t's own
+//	g ∋ v:  (g, u, c) for u ≠ v, and (g, v, d) for d ≠ c
+//	other:  (g, u, c) for u ∈ e ∩ g
+//
+// Blocks occupy ascending id ranges and each adds its ids in ascending
+// order, so every row comes out strictly ascending, without repeats.
+type rowWriter struct {
+	ix   *Index
+	e    int32
+	hits []blockHit // e's members' incidences, sorted by (g, gpos)
+	inc  []int32    // incidence scratch
+}
+
+// blockHit records that the member at position epos of the current
+// hyperedge sits at position gpos of hyperedge g.
+type blockHit struct{ g, gpos, epos int32 }
+
+// reset prepares the rows of hyperedge e.
+func (w *rowWriter) reset(e int32) {
+	h, incPos := w.ix.h, w.ix.incPos
+	w.e = e
+	w.hits = w.hits[:0]
+	for p, u := range h.EdgeView(int(e)) {
+		w.inc = h.AppendIncidentEdges(w.inc[:0], u)
+		for i, g := range w.inc {
+			w.hits = append(w.hits, blockHit{g: g, gpos: incPos[u][i], epos: int32(p)})
+		}
 	}
-	b.EdgeCapacityHint(hint)
-	var incBuf []int32
-	for v := lo; v < hi; v++ {
-		incBuf = h.AppendIncidentEdges(incBuf[:0], int32(v))
-		pos := ix.incPos[v]
-		for i, e := range incBuf {
-			baseE := ix.idAt(e, pos[i], 1)
-			for i2 := i + 1; i2 < len(incBuf); i2++ {
-				baseG := ix.idAt(incBuf[i2], pos[i2], 1)
-				for c := int32(0); c < k; c++ {
-					for d := int32(0); d < k; d++ {
-						if c == d {
-							continue
-						}
-						b.AddEdge(baseE+c, baseG+d)
+	slices.SortFunc(w.hits, func(a, b blockHit) int {
+		return cmp.Or(cmp.Compare(a.g, b.g), cmp.Compare(a.gpos, b.gpos))
+	})
+}
+
+// appendRow appends the row of triple (e, v, c), v the member at position
+// p of the hyperedge e given to reset, to dst.
+func (w *rowWriter) appendRow(dst []int32, p, c int32) []int32 {
+	ix, k, hits := w.ix, w.ix.k, w.hits
+	for i := 0; i < len(hits); {
+		g := hits[i].g
+		j, own := i, int32(-1) // own: v's position in g, when v ∈ g
+		for ; j < len(hits) && hits[j].g == g; j++ {
+			if hits[j].epos == p {
+				own = hits[j].gpos
+			}
+		}
+		run := hits[i:j]
+		i = j
+		lo, hi := ix.edgeOffset[g], ix.edgeOffset[g+1]
+		switch {
+		case g == w.e:
+			self := ix.idAt(g, p, c)
+			for id := lo; id < hi; id++ {
+				if id != self {
+					dst = append(dst, id)
+				}
+			}
+		case own >= 0:
+			vlo := ix.idAt(g, own, 1)
+			for base := lo; base < hi; base += k {
+				if base != vlo {
+					dst = append(dst, base+c-1)
+					continue
+				}
+				for id := base; id < base+k; id++ {
+					if id != base+c-1 {
+						dst = append(dst, id)
 					}
 				}
 			}
+		default:
+			for _, hit := range run {
+				dst = append(dst, ix.idAt(g, hit.gpos, c))
+			}
 		}
 	}
+	return dst
 }
 
 // Adjacent reports whether two triples are adjacent in G_k, directly from

@@ -1,9 +1,9 @@
 package core
 
-// engine_test.go holds the equivalence tests of the parallel execution
-// engine: sharded G_k construction must produce the identical CSR for
-// every worker count, and the batched first-fit scratch must reproduce the
-// plain scan — over randomized PlantedCF instances with fixed seeds.
+// engine_test.go holds the equivalence tests of the execution options:
+// G_k construction must produce the reference CSR for every worker count,
+// and the batched first-fit scratch must reproduce the plain scan — over
+// randomized PlantedCF instances with fixed seeds.
 
 import (
 	"context"
@@ -54,11 +54,8 @@ func TestBuildOptsEquivalentToSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("index: %v", err)
 		}
-		want, err := Build(ix)
-		if err != nil {
-			t.Fatalf("serial build: %v", err)
-		}
-		for _, workers := range []int{2, 3, 5, 8} {
+		want := referenceBuild(t, ix)
+		for _, workers := range []int{1, 2, 3, 5, 8} {
 			got, err := BuildOpts(ix, engine.Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
@@ -69,12 +66,13 @@ func TestBuildOptsEquivalentToSerial(t *testing.T) {
 }
 
 func TestBuildOptsEdgeCases(t *testing.T) {
-	// Single edge, singleton edges, duplicate edges: the sharded path must
-	// agree with the serial one on degenerate shapes too.
+	// No edges, a single edge, singleton edges, duplicate edges: the rows
+	// must agree with the reference on degenerate shapes too.
 	cases := []struct {
 		n     int
 		edges [][]int32
 	}{
+		{2, nil},
 		{1, [][]int32{{0}}},
 		{3, [][]int32{{0, 1, 2}}},
 		{4, [][]int32{{0, 1}, {0, 1}, {2, 3}}},
@@ -87,15 +85,11 @@ func TestBuildOptsEdgeCases(t *testing.T) {
 			if err != nil {
 				t.Fatalf("case %d k=%d: %v", i, k, err)
 			}
-			want, err := Build(ix)
-			if err != nil {
-				t.Fatalf("case %d k=%d serial: %v", i, k, err)
-			}
 			got, err := BuildOpts(ix, engine.Options{Workers: 4})
 			if err != nil {
-				t.Fatalf("case %d k=%d parallel: %v", i, k, err)
+				t.Fatalf("case %d k=%d: %v", i, k, err)
 			}
-			requireSameGraph(t, got, want)
+			requireSameGraph(t, got, referenceBuild(t, ix))
 		}
 	}
 }

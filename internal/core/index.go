@@ -8,6 +8,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"pslocal/internal/hypergraph"
@@ -48,9 +49,9 @@ type Index struct {
 	k          int32
 	edgeOffset []int32 // per edge, starting node id; len M()+1
 	// incPos[v][i] is the position of v within edge h.IncidentEdges(v)[i];
-	// aligned with the incidence lists. Precomputed once so the graph
-	// construction of conflict.go runs on pure offset arithmetic with no
-	// per-edge error paths (DESIGN.md, "Execution engine").
+	// aligned with the incidence lists. Precomputed once so the row
+	// emission of conflict.go runs on pure offset arithmetic with no
+	// per-edge error paths (DESIGN.md, "G_k row emission").
 	incPos [][]int32
 }
 
@@ -104,11 +105,11 @@ func (ix *Index) ID(t Triple) (int32, error) {
 	if t.Edge < 0 || int(t.Edge) >= ix.h.M() || t.Color < 1 || t.Color > ix.k {
 		return 0, fmt.Errorf("%w: %v", ErrBadTriple, t)
 	}
-	pos := ix.vertexPos(t.Edge, t.Vertex)
-	if pos < 0 {
+	pos, ok := slices.BinarySearch(ix.h.EdgeView(int(t.Edge)), t.Vertex)
+	if !ok {
 		return 0, fmt.Errorf("%w: %v (vertex not in edge)", ErrBadTriple, t)
 	}
-	return ix.edgeOffset[t.Edge] + int32(pos)*ix.k + (t.Color - 1), nil
+	return ix.idAt(t.Edge, int32(pos), t.Color), nil
 }
 
 // TripleOf returns the triple with dense node id.
@@ -123,19 +124,9 @@ func (ix *Index) TripleOf(id int32) (Triple, error) {
 	colour := rem%ix.k + 1
 	return Triple{
 		Edge:   int32(j),
-		Vertex: ix.h.Edge(j)[pos],
+		Vertex: ix.h.EdgeView(j)[pos],
 		Color:  colour,
 	}, nil
-}
-
-// vertexPos returns the position of v within sorted edge e, or -1.
-func (ix *Index) vertexPos(e, v int32) int {
-	edge := ix.h.Edge(int(e))
-	i := sort.Search(len(edge), func(i int) bool { return edge[i] >= v })
-	if i < len(edge) && edge[i] == v {
-		return i
-	}
-	return -1
 }
 
 // ForEachTriple calls fn for every conflict-graph node in dense id order;
@@ -143,8 +134,7 @@ func (ix *Index) vertexPos(e, v int32) int {
 func (ix *Index) ForEachTriple(fn func(id int32, t Triple) bool) {
 	id := int32(0)
 	for j := 0; j < ix.h.M(); j++ {
-		edge := ix.h.Edge(j)
-		for _, v := range edge {
+		for _, v := range ix.h.EdgeView(j) {
 			for c := int32(1); c <= ix.k; c++ {
 				if !fn(id, Triple{Edge: int32(j), Vertex: v, Color: c}) {
 					return

@@ -104,3 +104,26 @@ func TestEdgeCliqueHintMatchesBlocks(t *testing.T) {
 		return true
 	})
 }
+
+// TestIndexLookupsDoNotCopyEdges: TripleOf and ID read the hyperedge in
+// place, so they allocate nothing, and IDsToTriples allocates only its
+// result — the lookups the cache-hit path runs once per triple.
+func TestIndexLookupsDoNotCopyEdges(t *testing.T) {
+	h := hypergraph.MustNew(6, [][]int32{{0, 1, 2}, {2, 3, 4, 5}})
+	ix := mustIndex(t, h, 3)
+	ids := []int32{0, 5, 9, 20}
+	tr := Triple{Edge: 1, Vertex: 4, Color: 2}
+	for _, c := range []struct {
+		name string
+		want float64
+		fn   func()
+	}{
+		{"TripleOf", 0, func() { _, _ = ix.TripleOf(13) }},
+		{"ID", 0, func() { _, _ = ix.ID(tr) }},
+		{"IDsToTriples", 1, func() { _, _ = IDsToTriples(ix, ids) }},
+	} {
+		if got := testing.AllocsPerRun(100, c.fn); got != c.want {
+			t.Errorf("%s: %v allocs/op, want %v", c.name, got, c.want)
+		}
+	}
+}

@@ -7,14 +7,17 @@ package core
 // structure of H (through e for E_edge/E_color, through v itself for
 // E_vertex), so one synchronous round of any G_k algorithm costs O(1)
 // rounds of H. VirtualLubyTriples runs Luby's randomized MIS over this
-// virtual graph, and ReduceLocalRandomized chains it into the fully
-// distributed (randomized) version of the Theorem 1.1 pipeline.
+// virtual graph, reading each triple's neighbours from conflict.go's
+// rowWriter: the rows Build stores, written per hyperedge and dropped
+// after use. ReduceLocalRandomized chains it into the fully distributed
+// (randomized) version of the Theorem 1.1 pipeline.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"pslocal/internal/cfcolor"
 	"pslocal/internal/hypergraph"
@@ -28,88 +31,6 @@ var ErrTooManyPhases = errors.New("core: virtual Luby phase budget exhausted")
 // synchronous round of G_k: a request and a reply across the two-hop
 // v–e–u paths of the incidence structure.
 const HostDilation = 4
-
-// ForEachNeighborTriple enumerates the G_k-neighbours of t directly from
-// H. A neighbour reachable through several containment witnesses is
-// visited once per witness (callers that need set semantics deduplicate
-// by id); enumeration stops early when fn returns false.
-func ForEachNeighborTriple(ix *Index, t Triple, fn func(Triple) bool) error {
-	h := ix.h
-	if _, err := ix.ID(t); err != nil {
-		return err
-	}
-	stop := false
-	emit := func(u Triple) bool {
-		if u == t {
-			return true
-		}
-		if !fn(u) {
-			stop = true
-			return false
-		}
-		return true
-	}
-	// E_edge: the clique block of t.Edge.
-	h.ForEachEdgeVertex(int(t.Edge), func(u int32) bool {
-		for c := int32(1); c <= ix.k; c++ {
-			if !emit(Triple{Edge: t.Edge, Vertex: u, Color: c}) {
-				return false
-			}
-		}
-		return true
-	})
-	if stop {
-		return nil
-	}
-	// E_vertex: same vertex, different colour, any other incident edge.
-	h.ForEachIncidentEdge(t.Vertex, func(g int32) bool {
-		if g == t.Edge {
-			return true // inside the E_edge block, already emitted
-		}
-		for d := int32(1); d <= ix.k; d++ {
-			if d == t.Color {
-				continue
-			}
-			if !emit(Triple{Edge: g, Vertex: t.Vertex, Color: d}) {
-				return false
-			}
-		}
-		return true
-	})
-	if stop {
-		return nil
-	}
-	// E_color with container t.Edge: (g, u, c) for u ∈ e \ {v}, g ∋ u.
-	h.ForEachEdgeVertex(int(t.Edge), func(u int32) bool {
-		if u == t.Vertex {
-			return true
-		}
-		h.ForEachIncidentEdge(u, func(g int32) bool {
-			if g == t.Edge {
-				return true // already emitted via E_edge
-			}
-			return emit(Triple{Edge: g, Vertex: u, Color: t.Color})
-		})
-		return !stop
-	})
-	if stop {
-		return nil
-	}
-	// E_color with container g: (g, u, c) for g ∋ v, u ∈ g \ {v}.
-	h.ForEachIncidentEdge(t.Vertex, func(g int32) bool {
-		if g == t.Edge {
-			return true
-		}
-		h.ForEachEdgeVertex(int(g), func(u int32) bool {
-			if u == t.Vertex {
-				return true
-			}
-			return emit(Triple{Edge: g, Vertex: u, Color: t.Color})
-		})
-		return !stop
-	})
-	return nil
-}
 
 // LubyStats reports a virtual Luby run.
 type LubyStats struct {
@@ -141,6 +62,8 @@ func VirtualLubyTriples(ix *Index, seed int64, maxPhases int) ([]Triple, *LubySt
 	var out []Triple
 	stats := &LubyStats{}
 	priorities := make([]uint64, n)
+	rows := rowWriter{ix: ix}
+	var row []int32
 	for phase := 1; activeCount > 0; phase++ {
 		if phase > maxPhases {
 			return nil, stats, fmt.Errorf("%w: %d phases, %d triples still active", ErrTooManyPhases, maxPhases, activeCount)
@@ -154,32 +77,27 @@ func VirtualLubyTriples(ix *Index, seed int64, maxPhases int) ([]Triple, *LubySt
 		}
 		// Join round: local minima join; (priority, id) breaks ties.
 		var winners []int32
-		for id := int32(0); int(id) < n; id++ {
-			if !active[id] {
+		for e := int32(0); int(e) < ix.h.M(); e++ {
+			lo, hi := ix.edgeOffset[e], ix.edgeOffset[e+1]
+			if !slices.Contains(active[lo:hi], true) {
 				continue
 			}
-			t, err := ix.TripleOf(id)
-			if err != nil {
-				return nil, stats, err
-			}
-			win := true
-			err = ForEachNeighborTriple(ix, t, func(u Triple) bool {
-				uid, idErr := ix.ID(u)
-				if idErr != nil {
-					err = idErr
-					return false
+			rows.reset(e)
+			for id := lo; id < hi; id++ {
+				if !active[id] {
+					continue
 				}
-				if active[uid] && less(priorities[uid], uid, priorities[id], id) {
-					win = false
-					return false
+				row = rows.appendRow(row[:0], (id-lo)/ix.k, (id-lo)%ix.k+1)
+				win := true
+				for _, u := range row {
+					if active[u] && less(priorities[u], u, priorities[id], id) {
+						win = false
+						break
+					}
 				}
-				return true
-			})
-			if err != nil {
-				return nil, stats, err
-			}
-			if win {
-				winners = append(winners, id)
+				if win {
+					winners = append(winners, id)
+				}
 			}
 		}
 		// Winners and their neighbourhoods retire.
@@ -194,20 +112,13 @@ func VirtualLubyTriples(ix *Index, seed int64, maxPhases int) ([]Triple, *LubySt
 			out = append(out, t)
 			active[id] = false
 			activeCount--
-			err = ForEachNeighborTriple(ix, t, func(u Triple) bool {
-				uid, idErr := ix.ID(u)
-				if idErr != nil {
-					err = idErr
-					return false
-				}
-				if active[uid] {
-					active[uid] = false
+			rows.reset(t.Edge)
+			row = rows.appendRow(row[:0], (id-ix.edgeOffset[t.Edge])/ix.k, t.Color)
+			for _, u := range row {
+				if active[u] {
+					active[u] = false
 					activeCount--
 				}
-				return true
-			})
-			if err != nil {
-				return nil, stats, err
 			}
 		}
 	}

@@ -2,7 +2,10 @@ package core
 
 import (
 	"errors"
+	"hash/fnv"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"pslocal/internal/cfcolor"
@@ -10,64 +13,113 @@ import (
 	"pslocal/internal/maxis"
 )
 
-// TestForEachNeighborTripleMatchesAdjacent: the implicit enumeration must
-// visit exactly the triples the Adjacent predicate accepts (as a set —
-// duplicates through multiple witnesses are allowed).
+// TestForEachNeighborTripleMatchesAdjacent: the row the emitter writes
+// for each triple must be exactly {id' : Adjacent(t, t')}, in strictly
+// ascending order — the neighbourhood both Build and virtual Luby read.
 func TestForEachNeighborTripleMatchesAdjacent(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 6; trial++ {
+	for trial := 0; trial < 8; trial++ {
 		var h *hypergraph.Hypergraph
 		var err error
-		if trial%2 == 0 {
+		switch trial % 3 {
+		case 0:
 			h, err = hypergraph.Uniform(8+rng.Intn(5), 3+rng.Intn(4), 3, rng)
-		} else {
+		case 1:
 			h, _, err = hypergraph.PlantedCF(8+rng.Intn(5), 3+rng.Intn(4), 2, 2, 4, rng)
+		default:
+			h, err = randomMultiHypergraph(rng, false)
 		}
 		if err != nil {
 			t.Fatalf("generator: %v", err)
 		}
 		k := 1 + rng.Intn(3)
 		ix := mustIndex(t, h, k)
-		ix.ForEachTriple(func(_ int32, tr Triple) bool {
-			visited := map[Triple]bool{}
-			if err := ForEachNeighborTriple(ix, tr, func(u Triple) bool {
-				visited[u] = true
-				return true
-			}); err != nil {
-				t.Fatalf("enumeration error: %v", err)
-			}
-			// Compare against the predicate over ALL triples.
-			ix.ForEachTriple(func(_ int32, other Triple) bool {
-				want, err := Adjacent(ix, tr, other)
+		rows := rowWriter{ix: ix}
+		var row, want []int32
+		ix.ForEachTriple(func(id int32, tr Triple) bool {
+			rows.reset(tr.Edge)
+			row = rows.appendRow(row[:0], (id-ix.edgeOffset[tr.Edge])/ix.k, tr.Color)
+			want = want[:0]
+			ix.ForEachTriple(func(other int32, ot Triple) bool {
+				adj, err := Adjacent(ix, tr, ot)
 				if err != nil {
 					t.Fatalf("Adjacent error: %v", err)
 				}
-				if want != visited[other] {
-					t.Fatalf("trial %d: neighbour sets disagree at %v vs %v: enumerated=%v, predicate=%v",
-						trial, tr, other, visited[other], want)
+				if adj {
+					want = append(want, other)
 				}
 				return true
 			})
+			if !slices.Equal(row, want) {
+				t.Fatalf("trial %d: row of %v = %v, want %v", trial, tr, row, want)
+			}
 			return true
 		})
 	}
 }
 
-func TestForEachNeighborTripleEarlyStop(t *testing.T) {
-	h := hypergraph.MustNew(4, [][]int32{{0, 1, 2, 3}})
-	ix := mustIndex(t, h, 2)
-	count := 0
-	if err := ForEachNeighborTriple(ix, Triple{0, 0, 1}, func(Triple) bool {
-		count++
-		return count < 3
-	}); err != nil {
-		t.Fatalf("error: %v", err)
+// TestVirtualLubyGoldens pins VirtualLubyTriples on fixed seeds: the
+// triples, in output order, and the phase counts. A change to the rows or
+// to the bid/join order of the run shows here.
+func TestVirtualLubyGoldens(t *testing.T) {
+	planted, _, err := hypergraph.PlantedCF(14, 7, 2, 2, 4, rand.New(rand.NewSource(11)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if count != 3 {
-		t.Errorf("early stop visited %d, want 3", count)
+	uniform, err := hypergraph.Uniform(10, 6, 3, rand.New(rand.NewSource(12)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := ForEachNeighborTriple(ix, Triple{9, 0, 1}, func(Triple) bool { return true }); err == nil {
-		t.Error("bad triple accepted")
+	repeated := hypergraph.MustNew(5, [][]int32{{0, 1, 2}, {0, 1, 2}, {3}, {3}, {1, 3, 4}})
+	for _, g := range []struct {
+		name    string
+		h       *hypergraph.Hypergraph
+		k       int
+		seed    int64
+		phases  int
+		triples string
+	}{
+		{"planted k=2 seed 1", planted, 2, 1, 3, "(e1,v5,c1)(e3,v2,c1)(e4,v12,c2)(e5,v8,c1)(e6,v13,c1)(e0,v7,c2)(e2,v12,c2)"},
+		{"planted k=3 seed 2", planted, 3, 2, 2, "(e1,v10,c3)(e4,v12,c2)(e5,v8,c3)(e6,v13,c1)(e0,v8,c3)(e2,v12,c2)(e3,v7,c2)"},
+		{"uniform k=3 seed 3", uniform, 3, 3, 2, "(e2,v9,c2)(e3,v7,c3)(e5,v6,c1)(e0,v9,c2)(e1,v0,c3)(e4,v4,c1)"},
+		{"repeated k=1 seed 4", repeated, 1, 4, 2, "(e0,v0,c1)(e4,v4,c1)(e1,v0,c1)"},
+		{"repeated k=2 seed 5", repeated, 2, 5, 2, "(e1,v2,c1)(e2,v3,c2)(e3,v3,c2)(e4,v4,c1)(e0,v1,c2)"},
+	} {
+		ts, stats, err := VirtualLubyTriples(mustIndex(t, g.h, g.k), g.seed, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", g.name, err)
+		}
+		var b strings.Builder
+		for _, tr := range ts {
+			b.WriteString(tr.String())
+		}
+		if got := b.String(); got != g.triples || stats.Phases != g.phases {
+			t.Errorf("%s: %d phases %s, want %d phases %s", g.name, stats.Phases, got, g.phases, g.triples)
+		}
+	}
+	// A larger instance, pinned by count, phases and an FNV-64a hash of
+	// the triple sequence.
+	big, _, err := hypergraph.PlantedCF(300, 200, 3, 2, 4, rand.New(rand.NewSource(13)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []struct {
+		seed          int64
+		count, phases int
+		hash          uint64
+	}{{6, 194, 4, 0x342958de55b547f2}, {7, 195, 4, 0x38b8d805380a6ce5}} {
+		ts, stats, err := VirtualLubyTriples(mustIndex(t, big, 3), want.seed, 0)
+		if err != nil {
+			t.Fatalf("seed %d: %v", want.seed, err)
+		}
+		hs := fnv.New64a()
+		for _, tr := range ts {
+			hs.Write([]byte(tr.String()))
+		}
+		if len(ts) != want.count || stats.Phases != want.phases || hs.Sum64() != want.hash {
+			t.Errorf("seed %d: %d triples, %d phases, hash %#x; want %d, %d, %#x",
+				want.seed, len(ts), stats.Phases, hs.Sum64(), want.count, want.phases, want.hash)
+		}
 	}
 }
 

@@ -69,11 +69,12 @@ type Options struct {
 	Oracle maxis.Oracle
 	// MaxPhases bounds the loop defensively; 0 means 4·m + 16.
 	MaxPhases int
-	// Engine configures parallel G_k construction and cancellation of the
-	// phase loop; the zero value is the serial path. A non-zero Engine is
-	// forwarded to Oracle when the oracle implements maxis.EngineSetter
-	// (the portfolio), so the per-phase solve fans out on the same pool;
-	// the zero value leaves a pre-configured oracle untouched.
+	// Engine configures cancellation of the phase loop and of each G_k
+	// build, which is serial at every width; the zero value is the serial
+	// path. A non-zero Engine is forwarded to Oracle when the oracle
+	// implements maxis.EngineSetter (the portfolio), so the per-phase
+	// solve fans out on its pool; the zero value leaves a pre-configured
+	// oracle untouched.
 	Engine engine.Options
 	// OracleName labels phase spans on traced calls ("implicit", "exact",
 	// or the registry name behind Oracle). Informational only; it does not
@@ -131,8 +132,8 @@ func PhaseBound(lambda float64, m int) int {
 }
 
 // Reduce runs the Theorem 1.1 reduction on h. A non-nil ctx cancels
-// cooperatively — between phases, between construction shards, and inside
-// the exact and portfolio solvers — and takes precedence over
+// cooperatively — between phases, between the hyperedges of a G_k build,
+// and inside the exact and portfolio solvers — and takes precedence over
 // opts.Engine.Ctx; a nil ctx leaves opts.Engine.Ctx in charge (never
 // cancelled when that is nil too).
 func Reduce(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (*Result, error) {
@@ -149,7 +150,7 @@ func Reduce(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (*Resul
 		return nil, fmt.Errorf("%w: mode %d", ErrNoOracle, opts.Mode)
 	}
 	// Fan-out oracles (the portfolio) inherit the reduction's engine, so
-	// one Options.Engine configures G_k construction and solving alike.
+	// one Options.Engine configures the phase loop and solving alike.
 	// Only a non-zero engine is forwarded: a caller who configured the
 	// oracle directly (SetEngine before Reduce) must not be silently
 	// downgraded to the serial zero value.

@@ -2,7 +2,10 @@
 // repository: a single Options value — worker-pool width plus cancellation
 // context — threaded through conflict-graph construction (core.BuildOpts),
 // the Theorem 1.1 reduction (core.Reduce), the MaxIS oracle suite, and the
-// experiment harness. DESIGN.md, "Execution engine", records the design.
+// experiment harness. The width fans out the oracle portfolio and
+// Solver.SolveBatch; G_k construction is serial and reads only the
+// context, between hyperedges. DESIGN.md, "Execution engine", records the
+// design.
 //
 // The package deliberately has no dependencies inside the repository so
 // every layer (graph, core, maxis, experiments, cmd) can import it.
@@ -18,12 +21,15 @@ import (
 // fast path on one worker with no cancellation, so existing call sites keep
 // their exact previous behaviour when they pass Options{}.
 type Options struct {
-	// Workers is the worker-pool width. Negative values select
-	// runtime.GOMAXPROCS(0), i.e. "as wide as the hardware allows" (use
-	// Parallel()). Zero and one are the serial fast path: shard loops run
-	// inline on the calling goroutine with no pool.
+	// Workers is the worker-pool width of ForEachShard (the oracle
+	// portfolio, batch solves); it does not widen G_k construction, which
+	// is serial. Negative values select runtime.GOMAXPROCS(0), i.e. "as
+	// wide as the hardware allows" (use Parallel()). Zero and one are the
+	// serial fast path: shard loops run inline on the calling goroutine
+	// with no pool.
 	Workers int
-	// Ctx cancels long-running construction between shards; nil means
+	// Ctx cancels long-running work between shards, between the
+	// hyperedges of a G_k build and between reduction phases; nil means
 	// context.Background() (never cancelled).
 	Ctx context.Context
 }
@@ -63,7 +69,7 @@ func (o Options) Context() context.Context {
 }
 
 // Err reports the cancellation state of the configured context; it is the
-// cheap between-shards check used by the construction loops.
+// cheap check the shard and construction loops make between steps.
 func (o Options) Err() error {
 	if o.Ctx != nil {
 		return o.Ctx.Err()

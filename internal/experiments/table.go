@@ -20,9 +20,10 @@ type Config struct {
 	Seed int64
 	// Quick shrinks the grids for use inside benchmarks and CI.
 	Quick bool
-	// Engine configures parallel conflict-graph construction and
-	// cancellation for every experiment; the zero value is serial. The
-	// tables themselves are identical for every worker count.
+	// Engine configures the parallel oracle portfolio and cancellation
+	// for every experiment; the zero value is serial. Conflict-graph
+	// construction is serial for every worker count, and the tables
+	// themselves are identical for every worker count.
 	Engine engine.Options
 	// Oracle names the portfolio E13 races against its members
 	// ("portfolio:<a>,<b>,..."); empty selects the E13 default.

@@ -1,19 +1,15 @@
 package graph
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
-
-	"pslocal/internal/engine"
 )
 
-// requireSameCSR asserts byte-for-byte CSR equality, the contract of the
-// sharded assembly path.
+// requireSameCSR asserts byte-for-byte CSR equality.
 func requireSameCSR(t *testing.T, got, want *Graph) {
 	t.Helper()
 	if len(got.offsets) != len(want.offsets) {
@@ -54,73 +50,6 @@ func randomEdges(n, m int, rng *rand.Rand) [][2]int32 {
 	return out
 }
 
-func TestParallelBuildEquivalentToSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(60)
-		m := rng.Intn(4 * n)
-		edges := randomEdges(n, m, rng)
-
-		serial := NewBuilder(n)
-		for _, e := range edges {
-			serial.AddEdge(e[0], e[1])
-		}
-		want, err := serial.Build()
-		if err != nil {
-			t.Fatalf("serial build: %v", err)
-		}
-		if err := want.Validate(); err != nil {
-			t.Fatalf("serial invariants: %v", err)
-		}
-
-		for _, shards := range []int{1, 2, 3, 8} {
-			for _, workers := range []int{1, 2, 4} {
-				sb := NewShardedBuilder(n, shards)
-				for i, e := range edges {
-					sb.Shard(i%shards).AddEdge(e[0], e[1])
-				}
-				got, err := sb.ParallelBuild(engine.Options{Workers: workers})
-				if err != nil {
-					t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
-				}
-				requireSameCSR(t, got, want)
-			}
-		}
-	}
-}
-
-func TestShardedBuilderErrorsSurface(t *testing.T) {
-	sb := NewShardedBuilder(4, 3)
-	sb.Shard(0).AddEdge(0, 1)
-	sb.Shard(1).AddEdge(2, 9) // out of range
-	sb.Shard(2).AddEdge(3, 3) // self loop
-	_, err := sb.ParallelBuild(engine.Options{Workers: 2})
-	if !errors.Is(err, ErrNodeRange) {
-		t.Errorf("missing ErrNodeRange: %v", err)
-	}
-	if !errors.Is(err, ErrSelfLoop) {
-		t.Errorf("missing ErrSelfLoop: %v", err)
-	}
-}
-
-func TestShardedBuilderNegativeSize(t *testing.T) {
-	sb := NewShardedBuilder(-1, 2)
-	if _, err := sb.Build(); !errors.Is(err, ErrNegativeSize) {
-		t.Errorf("err = %v, want ErrNegativeSize", err)
-	}
-}
-
-func TestParallelBuildCancelledContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	sb := NewShardedBuilder(4, 2)
-	sb.Shard(0).AddEdge(0, 1)
-	_, err := sb.ParallelBuild(engine.Options{Workers: 2, Ctx: ctx})
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", err)
-	}
-}
-
 func TestEdgeCapacityHintPreservesResult(t *testing.T) {
 	b1 := NewBuilder(10)
 	b2 := NewBuilder(10)
@@ -137,13 +66,13 @@ func TestEdgeCapacityHintPreservesResult(t *testing.T) {
 }
 
 func TestParallelBuildNoDuplicatesFastPath(t *testing.T) {
-	// A duplicate-free emission takes the "already final" branch; the
-	// invariants must still hold.
-	sb := NewShardedBuilder(5, 2)
-	sb.Shard(0).AddEdge(0, 1)
-	sb.Shard(0).AddEdge(1, 2)
-	sb.Shard(1).AddEdge(3, 4)
-	g, err := sb.ParallelBuild(engine.Options{Workers: 2})
+	// A duplicate-free emission takes the "already final" branch of
+	// Builder.Build; the invariants must still hold.
+	b := NewBuilder(5)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	b.AddEdge(3, 4)
+	g, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,23 +84,21 @@ func TestParallelBuildNoDuplicatesFastPath(t *testing.T) {
 	}
 }
 
-// TestParallelBuildMatchesSortReference holds the sharded assembler to
-// the naive definition of the CSR it must produce: every node's emitted
+// TestParallelBuildMatchesSortReference holds Builder.Build to the naive
+// definition of the CSR it must produce: every node's emitted
 // neighbours, sorted and compacted one node at a time. Edge multisets
 // on up to 64 nodes repeat edges in both orientations; some carry
 // weights, and some carry self loops and out-of-range endpoints, whose
-// joined error must read exactly as the shards' emission order implies.
+// joined error must read exactly as the emission order implies.
 func TestParallelBuildMatchesSortReference(t *testing.T) {
-	check := func(seed int64, nodes, shards, workers uint8, weighted, invalid bool) bool {
+	check := func(seed int64, nodes uint8, weighted, invalid bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + int(nodes)%64
-		w := 1 + int(shards)%4
 		edges := randomEdges(n, rng.Intn(4*n+1), rng)
-		sb := NewShardedBuilder(n, w)
+		b := NewBuilder(n)
 		adj := make([][]int32, n)
 		var wantErrs []error
-		for i, e := range edges {
-			sh := i % w
+		for _, e := range edges {
 			if invalid && rng.Intn(8) == 0 {
 				// Swap in a self loop or an out-of-range endpoint.
 				if rng.Intn(2) == 0 {
@@ -181,13 +108,11 @@ func TestParallelBuildMatchesSortReference(t *testing.T) {
 					e[1] = int32(n + rng.Intn(3))
 					wantErrs = append(wantErrs, fmt.Errorf("%w: edge {%d,%d} with n=%d", ErrNodeRange, e[0], e[1], n))
 				}
-				// Errors join in shard order, so only shard 0 gets them.
-				sh = 0
 			} else {
 				adj[e[0]] = append(adj[e[0]], e[1])
 				adj[e[1]] = append(adj[e[1]], e[0])
 			}
-			sb.Shard(sh).AddEdge(e[0], e[1])
+			b.AddEdge(e[0], e[1])
 		}
 		var ws []int64
 		if weighted {
@@ -195,9 +120,9 @@ func TestParallelBuildMatchesSortReference(t *testing.T) {
 			for v := range ws {
 				ws[v] = rng.Int63n(10)
 			}
-			sb.Shard(w - 1).SetWeights(ws)
+			b.SetWeights(ws)
 		}
-		got, err := sb.ParallelBuild(engine.Options{Workers: 1 + int(workers)%4})
+		got, err := b.Build()
 		if len(wantErrs) > 0 {
 			if err == nil || err.Error() != errors.Join(wantErrs...).Error() {
 				t.Logf("seed %d: err = %v, want %v", seed, err, errors.Join(wantErrs...))
@@ -224,5 +149,42 @@ func TestParallelBuildMatchesSortReference(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFromCSR: well-formed rows come back as the graph Builder assembles
+// from the same edges, and every malformed row is rejected without a
+// panic.
+func TestFromCSR(t *testing.T) {
+	want := MustFromEdges(t, 4, [][2]int32{{0, 1}, {0, 2}, {2, 3}})
+	got, err := FromCSR([]int32{0, 2, 3, 5, 6}, []int32{1, 2, 0, 0, 3, 2})
+	if err != nil {
+		t.Fatalf("FromCSR: %v", err)
+	}
+	requireSameCSR(t, got, want)
+	if g, err := FromCSR([]int32{0}, nil); err != nil || g.N() != 0 {
+		t.Errorf("empty CSR: n=%v err=%v", g, err)
+	}
+	bad := []struct {
+		name             string
+		offsets, targets []int32
+		want             error
+	}{
+		{"no offsets", nil, nil, nil},
+		{"offsets[0] != 0", []int32{1, 1}, []int32{0}, nil},
+		{"short targets", []int32{0, 2}, []int32{1}, nil},
+		{"non-monotone", []int32{0, 2, 1, 3}, []int32{1, 2, 0}, nil},
+		{"offset past targets", []int32{0, 5, 2}, []int32{1, 0}, nil},
+		{"out of range", []int32{0, 1, 2}, []int32{2, 0}, ErrNodeRange},
+		{"negative", []int32{0, 1, 2}, []int32{-1, 0}, ErrNodeRange},
+		{"self loop", []int32{0, 1, 2}, []int32{0, 0}, ErrSelfLoop},
+		{"unsorted", []int32{0, 2, 3, 4}, []int32{2, 1, 0, 0}, nil},
+		{"repeat", []int32{0, 2, 4}, []int32{1, 1, 0, 0}, nil},
+	}
+	for _, c := range bad {
+		_, err := FromCSR(c.offsets, c.targets)
+		if err == nil || (c.want != nil && !errors.Is(err, c.want)) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
 	}
 }

@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-
-	"pslocal/internal/engine"
 )
 
 // Errors returned by Builder.Build and graph constructors.
@@ -224,9 +222,9 @@ func NewBuilder(n int) *Builder {
 }
 
 // EdgeCapacityHint grows the internal edge buffers so at least m further
-// AddEdge calls proceed without reallocation. Generators that know their
-// edge volume up front (conflict-graph construction knows its clique sizes
-// exactly) use it to keep the emission loop allocation-lean.
+// AddEdge calls proceed without reallocation. Readers that know their
+// edge count up front (the graphio parsers) use it to keep the emission
+// loop allocation-lean.
 func (b *Builder) EdgeCapacityHint(m int) {
 	if m <= 0 {
 		return
@@ -249,14 +247,6 @@ func (b *Builder) AddEdge(u, v int32) {
 		b.us = append(b.us, u)
 		b.vs = append(b.vs, v)
 	}
-}
-
-// Build assembles the graph through the two-pass CSR assembler (count
-// degrees, prefix-sum, scatter, counting transpose + dedupe — see
-// DESIGN.md, "Execution engine"). After Build the builder can be reused only by
-// discarding it; Build does not reset internal state.
-func (b *Builder) Build() (*Graph, error) {
-	return assembleCSR(b.n, []*Builder{b}, engine.Options{Workers: 1})
 }
 
 // MustBuild is Build for statically correct construction sites (generators,

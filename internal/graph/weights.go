@@ -116,15 +116,6 @@ func (b *Builder) SetWeights(ws []int64) {
 	b.weights = append(b.weights[:0], ws...)
 }
 
-// SetWeight records a vertex weight; it forwards to shard 0, the
-// designated owner of the builder's weight vector (weights are per-vertex
-// state, not per-edge, so they are not sharded).
-func (sb *ShardedBuilder) SetWeight(v int32, w int64) { sb.shards[0].SetWeight(v, w) }
-
-// SetWeights records the whole weight vector at once (see
-// Builder.SetWeights); it forwards to shard 0.
-func (sb *ShardedBuilder) SetWeights(ws []int64) { sb.shards[0].SetWeights(ws) }
-
 // WithWeights returns a graph sharing g's adjacency structure with the
 // given weight vector (nil restores the unweighted form). The vector must
 // have N() entries within [0, MaxWeight]; it is copied and normalised

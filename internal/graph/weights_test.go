@@ -3,8 +3,6 @@ package graph
 import (
 	"errors"
 	"testing"
-
-	"pslocal/internal/engine"
 )
 
 func TestUnweightedAccessors(t *testing.T) {
@@ -199,26 +197,5 @@ func TestComplementAndUnionWeights(t *testing.T) {
 	uu := Union(Path(2), Path(2))
 	if uu.Weighted() {
 		t.Error("union of unweighted graphs carries weights")
-	}
-}
-
-func TestShardedBuilderWeights(t *testing.T) {
-	sb := NewShardedBuilder(4, 2)
-	sb.Shard(0).AddEdge(0, 1)
-	sb.Shard(1).AddEdge(2, 3)
-	sb.SetWeight(3, 11)
-	g, err := sb.ParallelBuild(engine.Options{Workers: 2})
-	if err != nil {
-		t.Fatalf("ParallelBuild: %v", err)
-	}
-	if !g.Weighted() || g.Weight(3) != 11 {
-		t.Errorf("sharded weights = %v, want vertex 3 at 11", g.Weights())
-	}
-	// Two shards both claiming the weight vector is a build error.
-	sb = NewShardedBuilder(2, 2)
-	sb.Shard(0).SetWeight(0, 2)
-	sb.Shard(1).SetWeight(1, 3)
-	if _, err := sb.Build(); err == nil {
-		t.Error("weights on two shards built successfully, want error")
 	}
 }

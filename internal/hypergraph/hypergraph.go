@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Errors returned by constructors.
@@ -102,12 +101,10 @@ func (h *Hypergraph) Edge(j int) []int32 {
 	return out
 }
 
-// AppendEdge appends the sorted vertex list of edge j to dst and returns
-// the extended slice, avoiding an allocation when dst has capacity. The hot
-// construction loops of internal/core use it instead of Edge.
-func (h *Hypergraph) AppendEdge(dst []int32, j int) []int32 {
-	return append(dst, h.edges[j]...)
-}
+// EdgeView returns the sorted vertex list of edge j without copying it.
+// The slice aliases H's storage, so callers must not modify it. The
+// lookups and row emission of internal/core read edges through it.
+func (h *Hypergraph) EdgeView(j int) []int32 { return h.edges[j] }
 
 // AppendIncidentEdges appends the ascending edge indices containing v to
 // dst and returns the extended slice, avoiding an allocation when dst has
@@ -120,7 +117,7 @@ func (h *Hypergraph) AppendIncidentEdges(dst []int32, v int32) []int32 {
 // duplicate-free — the whole-structure accessor for external serializers
 // and for comparing instances across an I/O round trip (graphio's tests
 // do). Iteration call sites should prefer ForEachEdgeVertex or
-// AppendEdge, which do not allocate per edge.
+// EdgeView, which do not allocate per edge.
 func (h *Hypergraph) Edges() [][]int32 {
 	out := make([][]int32, len(h.edges))
 	for j, e := range h.edges {
@@ -143,9 +140,8 @@ func (h *Hypergraph) ForEachEdgeVertex(j int, fn func(v int32) bool) {
 
 // EdgeContains reports whether vertex v belongs to edge j.
 func (h *Hypergraph) EdgeContains(j int, v int32) bool {
-	e := h.edges[j]
-	i := sort.Search(len(e), func(i int) bool { return e[i] >= v })
-	return i < len(e) && e[i] == v
+	_, ok := slices.BinarySearch(h.EdgeView(j), v)
+	return ok
 }
 
 // Degree returns the number of hyperedges containing v.

@@ -148,6 +148,27 @@ func newManager(t *testing.T, cfg Config) *Manager {
 	return m
 }
 
+// TestAwaitDoneContextWinsOverFinishedJob: once the job is terminal its
+// watch channel is closed too, and a done context must still win on
+// every call, not on a coin flip between two ready channels.
+func TestAwaitDoneContextWinsOverFinishedJob(t *testing.T) {
+	m := newManager(t, Config{Workers: 1})
+	info, accepted, err := m.Submit(Request{Body: testBody(t, 1), Params: Params{K: 2}, Priority: PriorityNormal})
+	if err != nil || !accepted {
+		t.Fatalf("Submit = %+v, %v, %v", info, accepted, err)
+	}
+	if final, err := m.Await(awaitCtx(t), info.ID); err != nil || !final.State.Terminal() {
+		t.Fatalf("Await = %+v, %v", final, err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 1000; i++ {
+		if _, err := m.Await(ctx, info.ID); !errors.Is(err, context.Canceled) {
+			t.Fatalf("try %d: err = %v, want context.Canceled", i, err)
+		}
+	}
+}
+
 func TestJobLifecycleDone(t *testing.T) {
 	dir := t.TempDir()
 	m := newManager(t, Config{Dir: dir, Workers: 2, QueueCap: 8})

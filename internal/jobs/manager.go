@@ -458,8 +458,13 @@ func (m *Manager) Watch(id string) (<-chan Event, func(), error) {
 }
 
 // Await blocks until the job reaches a terminal state (returning its
-// final snapshot) or ctx is done.
+// final snapshot) or ctx is done. A context that is already done wins
+// even over a finished job, as it does for semaphore.Acquire: a select
+// over two ready channels would pick either.
 func (m *Manager) Await(ctx context.Context, id string) (Info, error) {
+	if err := ctx.Err(); err != nil {
+		return Info{}, err
+	}
 	ch, stop, err := m.Watch(id)
 	if err != nil {
 		return Info{}, err

@@ -110,10 +110,10 @@ func defaults() config {
 // Option configures a Solver at construction (New) or derivation (With).
 type Option func(*config)
 
-// WithWorkers sets the worker-pool width shared by conflict-graph
-// construction, portfolio racing and SolveBatch fan-out, following the
-// CLI -workers convention: 0 selects GOMAXPROCS, 1 is serial, any other
-// positive value is the literal width.
+// WithWorkers sets the worker-pool width shared by portfolio racing and
+// SolveBatch fan-out, following the CLI -workers convention: 0 selects
+// GOMAXPROCS, 1 is serial, any other positive value is the literal width.
+// Conflict-graph construction is serial at every width.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithOracle selects the per-phase MaxIS strategy by name: "implicit"

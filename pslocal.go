@@ -201,11 +201,12 @@ type (
 // NewConflictIndex builds the triple numbering of G_k.
 func NewConflictIndex(h *Hypergraph, k int) (*ConflictIndex, error) { return core.NewIndex(h, k) }
 
-// BuildConflictGraph materialises G_k on the serial path.
+// BuildConflictGraph materialises G_k.
 func BuildConflictGraph(ix *ConflictIndex) (*Graph, error) { return core.Build(ix) }
 
-// BuildConflictGraphOpts materialises G_k on opts' worker pool; the CSR is
-// identical to the serial path for every worker count.
+// BuildConflictGraphOpts materialises G_k, cancelling between hyperedges
+// when opts.Ctx is done. The build is serial: opts.Workers does not widen
+// it, and the CSR is the same for every worker count.
 func BuildConflictGraphOpts(ix *ConflictIndex, opts EngineOptions) (*Graph, error) {
 	return core.BuildOpts(ix, opts)
 }

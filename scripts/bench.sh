@@ -46,9 +46,10 @@ if ! git diff-index --quiet HEAD -- 2>/dev/null; then
   sha="${sha}-dirty"
 fi
 # The alloc gate holds the zero-allocation serve line, the cold edge-list
-# parse's line of no per-line allocations, and the cold JSON parse's
-# count: if allocs/op on a gated benchmark grows vs the recorded
-# trajectory, the merge fails.
+# parse's line of no per-line allocations, the cold JSON parse's count,
+# and the cold serve path that materialises G_k (SolverReduceColdOracle,
+# run by the SolverReduce pattern above): if allocs/op on a gated
+# benchmark grows vs the recorded trajectory, the merge fails.
 # BENCH_LOAD_PERF can point at a cfload -perf-out report to fold Cfload*
 # load-test results into the same entry (scripts/loadsmoke.sh records its
 # own "<sha>-load" entry instead, so the two paths never collide).
@@ -58,5 +59,5 @@ if [ -n "${BENCH_LOAD_PERF:-}" ]; then
 fi
 # shellcheck disable=SC2086  # quickflag/loadflag are intentionally word-split
 go run ./scripts/benchmerge -out "$out" -sha "$sha" $quickflag $loadflag \
-  -alloc-gate 'SolverCacheHitAllocs|SolverMaxISReaderHot|SpanRecord|ReadGraphEdgeListDense|ReadHypergraphJSONCold' < "$tmp"
+  -alloc-gate 'SolverCacheHitAllocs|SolverMaxISReaderHot|SpanRecord|ReadGraphEdgeListDense|ReadHypergraphJSONCold|SolverReduceColdOracle' < "$tmp"
 echo "wrote $out"

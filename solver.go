@@ -42,9 +42,9 @@ type (
 // k=3 defaults.
 func NewSolver(opts ...SolverOption) *Solver { return solver.New(opts...) }
 
-// WithWorkers sets the worker-pool width shared by conflict-graph
-// construction, portfolio racing and SolveBatch fan-out (the CLI
-// -workers convention: 0 = GOMAXPROCS, 1 = serial).
+// WithWorkers sets the worker-pool width shared by portfolio racing and
+// SolveBatch fan-out (the CLI -workers convention: 0 = GOMAXPROCS, 1 =
+// serial). Conflict-graph construction is serial at every width.
 func WithWorkers(n int) SolverOption { return solver.WithWorkers(n) }
 
 // WithOracle selects the per-phase MaxIS strategy by name: "implicit",
