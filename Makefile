@@ -35,14 +35,14 @@ bench-quick:
 	BENCH_QUICK=1 ./scripts/bench.sh
 
 # load-smoke drives a small cfload burst against a live cfserve, checks
-# the SLO report and /statz latency histograms, verifies replay
-# determinism, and records a "<sha>-load" entry in BENCH_gk.json.
+# the SLO report and the /metrics latency histograms, and verifies replay
+# determinism. Pass/fail only: it writes no benchmark numbers.
 load-smoke:
 	./scripts/loadsmoke.sh
 
 # cluster-smoke stands up three cfserve nodes sharing a job store behind
 # cfgate, proves affinity routing beats a round-robin control on
-# cache-hit ratio, SIGTERMs one node mid-burst with zero failed
-# requests, and records a "<sha>-cluster" entry in BENCH_gk.json.
+# cache-hit ratio, and SIGTERMs one node mid-burst with zero failed
+# requests. Pass/fail only: it writes no benchmark numbers.
 cluster-smoke:
 	./scripts/clustersmoke.sh

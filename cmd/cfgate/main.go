@@ -9,11 +9,12 @@
 // Endpoints mirror cfserve's API one for one; responses carry the
 // serving backend in X-Pslocal-Backend. The gateway adds:
 //
-//	GET /healthz   gateway liveness
+//	GET /healthz   gateway liveness and uptime
 //	GET /readyz    ready when at least one backend is admitted
-//	GET /statz     routing policy, per-backend health/in-flight/proxied
 //	GET /metrics   Prometheus exposition: request/reroute/failure counters,
-//	               per-backend proxy latency, retries, health and ejections
+//	               the routing policy, and per backend the proxy latency,
+//	               retries, job-lookup failovers, proxied totals, health,
+//	               consecutive failures, ejections and in-flight counts
 //
 // Every request carries an X-Pslocal-Request-Id — the client's when
 // valid, minted here otherwise — forwarded on every proxy attempt and

@@ -5,7 +5,11 @@
 // into a deterministic request schedule, fires it at the server without
 // waiting for completions (arrivals never depend on the server keeping
 // up), and reports latency quantiles, throughput, per-class SLO
-// attainment and the job queue-wait/run split.
+// attainment and the job queue-wait/run split (from the server's
+// /metrics job counters, scraped before and after the run). Each
+// request's latency runs from its scheduled instant, so waits for a
+// client in-flight slot count, and a reused instance goes out in the
+// format it was first sent in, so it hits the same server cache key.
 //
 // Every run can be recorded to a versioned JSONL trace (-record) that
 // replays deterministically (-replay): the trace stores generator
@@ -13,7 +17,7 @@
 // requests and the deterministic outcome summary on stdout is
 // byte-identical across replays of the same trace. Wall-clock numbers
 // (latency, throughput, cache hits) go to the human report on stderr
-// and, as JSON, to -perf-out for scripts/benchmerge ingestion.
+// and, as JSON, to -perf-out.
 //
 // Examples:
 //
@@ -85,7 +89,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		timeout  = fs.Duration("timeout", 30*time.Second, "per-request HTTP timeout")
 		inflight = fs.Int("max-inflight", 0, "client-side in-flight request cap (0 = 512)")
 		label    = fs.String("label", "cfload", "label attached to job submissions")
-		noStatz  = fs.Bool("no-statz", false, "skip the /statz probes that derive the job wait/run split")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -142,7 +145,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		Speed:       *speed,
 		MaxInflight: *inflight,
 		Label:       *label,
-		ProbeStatz:  !*noStatz,
 	}
 	rep, err := client.Run(ctx, trace)
 	if err != nil {

@@ -55,12 +55,22 @@ func stubServer(t *testing.T) *httptest.Server {
 			mu.Unlock()
 			w.WriteHeader(http.StatusAccepted)
 			fmt.Fprintf(w, `{"job":{"id":%q,"state":"queued"}}`, hexSum)
-		case "/statz":
+		case "/metrics":
 			mu.Lock()
 			j := jobs
 			mu.Unlock()
-			fmt.Fprintf(w, `{"jobs":{"started":%d,"finished":%d,"wait_sum_ms":%d,"run_sum_ms":%d}}`,
-				j, j, j*3, j*7)
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+			for _, c := range []struct {
+				name  string
+				value float64
+			}{
+				{"pslocal_jobs_finished_total", float64(j)},
+				{"pslocal_jobs_started_total", float64(j)},
+				{"pslocal_jobs_wait_seconds_total", float64(j) * 0.375},
+				{"pslocal_jobs_run_seconds_total", float64(j) * 0.875},
+			} {
+				fmt.Fprintf(w, "# TYPE %s counter\n%s %g\n", c.name, c.name, c.value)
+			}
 		default:
 			http.Error(w, `{"error":"no route"}`, http.StatusNotFound)
 		}
@@ -156,7 +166,7 @@ func TestCustomMix(t *testing.T) {
 		t.Fatal(err)
 	}
 	out, _, err := runCLI(t, "-addr", srv.URL, "-requests", "10", "-rate", "4000",
-		"-hit-ratio", "0", "-mix", mix, "-no-statz")
+		"-hit-ratio", "0", "-mix", mix)
 	if err != nil {
 		t.Fatalf("custom mix run: %v", err)
 	}
@@ -171,7 +181,7 @@ func TestCustomMix(t *testing.T) {
 
 func TestServerUnreachableFails(t *testing.T) {
 	_, _, err := runCLI(t, "-addr", "http://127.0.0.1:1", "-requests", "3",
-		"-rate", "4000", "-timeout", "2s", "-no-statz")
+		"-rate", "4000", "-timeout", "2s")
 	if err == nil {
 		t.Fatal("run against a dead server reported success")
 	}

@@ -159,12 +159,15 @@ func TestReadyzDrainzLifecycle(t *testing.T) {
 		t.Errorf("GET /v1/jobs while draining: %d, want 200 (reads stay open)", code)
 	}
 
-	var statz statzResponse
-	if code := getJSON(t, ts.URL+"/statz", &statz); code != http.StatusOK {
-		t.Fatalf("statz: %d", code)
+	var drained struct {
+		Status string           `json:"status"`
+		Jobs   pslocal.JobStats `json:"jobs"`
 	}
-	if statz.Ready || !statz.Draining {
-		t.Errorf("statz while draining: ready %t, draining %t", statz.Ready, statz.Draining)
+	if code := getJSON(t, ts.URL+"/readyz", &drained); code != http.StatusServiceUnavailable {
+		t.Fatalf("readyz: %d", code)
+	}
+	if drained.Status != "draining" || !drained.Jobs.Draining {
+		t.Errorf("readyz while draining: status %q, jobs draining %t", drained.Status, drained.Jobs.Draining)
 	}
 	_ = s
 }

@@ -2,8 +2,8 @@ package main
 
 // jobs_test.go covers the /v1/jobs API surface: submit/poll/result,
 // dedupe, restart recovery over a persistent store, cancellation, SSE
-// events, list filtering, queue overflow, statz merging, and the JSON
-// 404/405 envelope regression the satellite task pins.
+// events, list filtering, queue overflow, the job series on /metrics,
+// and the JSON 404/405 envelope regression the satellite task pins.
 
 import (
 	"bufio"
@@ -437,20 +437,17 @@ func TestStatzMergesJobCounters(t *testing.T) {
 		t.Fatalf("submit status %d", status)
 	}
 	pollJob(t, ts.URL, sub.Job.ID)
-	resp, err := http.Get(ts.URL + "/statz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var stats statzResponse
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Jobs.Submitted != 1 || stats.Jobs.Completed != 1 || stats.Jobs.Workers != 2 {
-		t.Errorf("statz jobs = %+v, want 1 submitted, 1 completed, 2 workers", stats.Jobs)
-	}
-	if stats.Jobs.QueueDepth != 0 || stats.Jobs.Running != 0 {
-		t.Errorf("statz job gauges = %+v, want quiescent", stats.Jobs)
+	e := scrape(t, ts.URL)
+	for name, want := range map[string]float64{
+		"pslocal_jobs_submitted_total": 1,
+		"pslocal_jobs_completed_total": 1,
+		"pslocal_jobs_workers":         2,
+		"pslocal_jobs_queue_depth":     0,
+		"pslocal_jobs_running":         0,
+	} {
+		if got := metric(t, e, name); got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
 	}
 }
 

@@ -1,16 +1,15 @@
 package main
 
 // metrics.go is the cfserve metrics surface: one pslocal.MetricsRegistry
-// renders GET /metrics in the Prometheus text format, and /statz renders
-// from the very same handles, so the two exposition endpoints can never
-// disagree. Request counters and the latency-track histograms are typed
-// handles the handlers hit directly; cache, admission and job-lifecycle
-// series read through func-backed gauges/counters at scrape time.
+// renders GET /metrics in the Prometheus text format, the one place the
+// server publishes its numbers. Request counters and the latency-track
+// histograms are typed handles the handlers hit directly; limits, cache,
+// admission and job-lifecycle series read through func-backed
+// gauges/counters at scrape time.
 //
-// The latency tracks keep the shape the /statz document has always
-// carried: reduce, maxis and jobs_submit time whole successful requests,
-// and every solve sample additionally lands in cache_hit or cache_miss
-// (hot instance-cache path vs cold parse+CSR).
+// The latency tracks: reduce, maxis and jobs_submit time whole
+// successful requests, and every solve sample additionally lands in
+// cache_hit or cache_miss (hot instance-cache path vs cold parse+CSR).
 
 import (
 	"time"
@@ -37,7 +36,7 @@ type serverMetrics struct {
 
 // newServerMetrics builds the registry over the shared solver and job
 // manager; the func-backed series snapshot their stats at scrape time.
-func newServerMetrics(sv *pslocal.Solver, jm *pslocal.JobManager) *serverMetrics {
+func newServerMetrics(sv *pslocal.Solver, jm *pslocal.JobManager, maxWorkers int) *serverMetrics {
 	reg := pslocal.NewMetricsRegistry()
 	m := &serverMetrics{
 		reg:      reg,
@@ -64,6 +63,10 @@ func newServerMetrics(sv *pslocal.Solver, jm *pslocal.JobManager) *serverMetrics
 		func() float64 { return float64(sv.InFlight()) })
 	reg.GaugeFunc("pslocal_max_inflight", "Admission gate capacity (0 = unbounded).",
 		func() float64 { return float64(sv.MaxInFlight()) })
+	reg.GaugeFunc("pslocal_max_workers", "Per-request worker cap.",
+		func() float64 { return float64(maxWorkers) })
+	reg.GaugeFunc("pslocal_cache_capacity", "Instance cache capacity in entries.",
+		func() float64 { return float64(sv.CacheStats().Capacity) })
 	reg.CounterFunc("pslocal_cache_hits_total", "Instance cache hits.",
 		func() float64 { return float64(sv.CacheStats().Hits) })
 	reg.CounterFunc("pslocal_cache_misses_total", "Instance cache misses.",
@@ -92,10 +95,25 @@ func newServerMetrics(sv *pslocal.Solver, jm *pslocal.JobManager) *serverMetrics
 		func(s pslocal.JobStats) uint64 { return s.Recovered })
 	jobCounter("pslocal_jobs_adopted_total", "Jobs adopted from a shared store after startup.",
 		func(s pslocal.JobStats) uint64 { return s.Adopted })
+	// Finished renders before Started: every job bumps started before
+	// finished, so reading them in this order keeps started >= finished
+	// in every scrape, as Manager.Stats does within one snapshot.
+	jobCounter("pslocal_jobs_finished_total", "Jobs whose worker run reached a terminal state.",
+		func(s pslocal.JobStats) uint64 { return s.Finished })
+	jobCounter("pslocal_jobs_started_total", "Jobs that left the queue for a worker.",
+		func(s pslocal.JobStats) uint64 { return s.Started })
+	reg.CounterFunc("pslocal_jobs_wait_seconds_total", "Queue wait summed over started jobs.",
+		func() float64 { return jm.Stats().WaitSumMS / 1e3 })
+	reg.CounterFunc("pslocal_jobs_run_seconds_total", "Run time summed over finished jobs.",
+		func() float64 { return jm.Stats().RunSumMS / 1e3 })
 	reg.GaugeFunc("pslocal_jobs_queue_depth", "Jobs waiting in the queue.",
 		func() float64 { return float64(jm.Stats().QueueDepth) })
 	reg.GaugeFunc("pslocal_jobs_running", "Jobs currently running on workers.",
 		func() float64 { return float64(jm.Stats().Running) })
+	reg.GaugeFunc("pslocal_jobs_queue_capacity", "Job queue capacity across priority lanes.",
+		func() float64 { return float64(jm.Stats().QueueCap) })
+	reg.GaugeFunc("pslocal_jobs_workers", "Job worker pool width.",
+		func() float64 { return float64(jm.Stats().Workers) })
 	return m
 }
 
@@ -107,16 +125,5 @@ func (m *serverMetrics) observeSolve(endpoint *pslocal.MetricsHistogram, d time.
 		m.cacheHit.Observe(d)
 	} else {
 		m.cacheMiss.Observe(d)
-	}
-}
-
-// latencySnapshot renders the /statz latency map from the track handles.
-func (m *serverMetrics) latencySnapshot() map[string]pslocal.MetricsHistSnapshot {
-	return map[string]pslocal.MetricsHistSnapshot{
-		"reduce":      m.reduce.Snapshot(),
-		"maxis":       m.maxis.Snapshot(),
-		"jobs_submit": m.jobsSubmit.Snapshot(),
-		"cache_hit":   m.cacheHit.Snapshot(),
-		"cache_miss":  m.cacheMiss.Snapshot(),
 	}
 }

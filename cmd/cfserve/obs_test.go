@@ -1,8 +1,8 @@
 package main
 
 // obs_test.go covers the observability surface end to end over HTTP:
-// GET /metrics serves a Prometheus exposition whose families match the
-// /statz counters, ?trace=1 embeds a span tree whose children account
+// GET /metrics serves a Prometheus exposition carrying the serve-path
+// families, ?trace=1 embeds a span tree whose children account
 // for no more than the root's duration, GET /v1/traces retains finished
 // traces newest-first, and every response echoes a request id — the
 // caller's when valid, a fresh one otherwise.
@@ -53,12 +53,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
 		}
-	}
-
-	// /statz and /metrics render from the same registry handles.
-	st := getStatz(t, ts.URL)
-	if st.Reduces != 1 || st.Latency["reduce"].Count != 1 {
-		t.Errorf("statz disagrees with the exposition: reduces=%d latency=%+v", st.Reduces, st.Latency["reduce"])
 	}
 }
 

@@ -120,9 +120,9 @@ type server struct {
 	drainEjectedOnce sync.Once
 	drainProbes      atomic.Int64
 
-	// met is the metrics surface shared by GET /metrics and /statz;
-	// traces is the ring GET /v1/traces serves (job runs push into the
-	// same ring through the manager).
+	// met is the metrics surface GET /metrics serves; traces is the ring
+	// GET /v1/traces serves (job runs push into the same ring through the
+	// manager).
 	met    *serverMetrics
 	traces *pslocal.TraceRing
 	logger *slog.Logger
@@ -171,7 +171,7 @@ func newServer(cfg config) (*server, error) {
 		return nil, err
 	}
 	s.jobs = jm
-	s.met = newServerMetrics(s.solver, s.jobs)
+	s.met = newServerMetrics(s.solver, s.jobs, cfg.maxWorkers)
 	s.mux.HandleFunc("POST /v1/reduce", s.handleReduce)
 	s.mux.HandleFunc("POST /v1/maxis", s.handleMaxIS)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
@@ -312,7 +312,7 @@ type reduceResponse struct {
 
 // refuseDraining rejects new work on a draining server with 503 and a
 // retry hint, reporting whether the request was refused. Reads (job
-// status, lists, events, statz) stay open so operators and the gateway
+// status, lists, events, metrics) stay open so operators and the gateway
 // can watch the drain finish.
 func (s *server) refuseDraining(w http.ResponseWriter) bool {
 	if !s.draining.Load() {
@@ -581,7 +581,7 @@ func (s *server) handleDrainz(w http.ResponseWriter, _ *http.Request) {
 	first := s.draining.CompareAndSwap(false, true)
 	if first {
 		// The waiter runs detached: /drainz answers immediately and the
-		// caller polls /readyz or /statz for quiescence.
+		// caller polls /readyz for quiescence.
 		go s.jobs.Drain(context.Background())
 	}
 	s.writeJSON(w, http.StatusOK, map[string]any{
@@ -591,48 +591,12 @@ func (s *server) handleDrainz(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// statzResponse is the /statz metrics snapshot; Jobs merges in the job
-// subsystem's counters (queue depth, running, outcomes, latency sums).
-type statzResponse struct {
-	UptimeS     float64                  `json:"uptime_s"`
-	Ready       bool                     `json:"ready"`
-	Draining    bool                     `json:"draining"`
-	Requests    uint64                   `json:"requests"`
-	Reduces     uint64                   `json:"reduces"`
-	Solves      uint64                   `json:"solves"`
-	Failures    uint64                   `json:"failures"`
-	Canceled    uint64                   `json:"canceled"`
-	Inflight    int                      `json:"inflight"`
-	MaxInflight int                      `json:"max_inflight"`
-	MaxWorkers  int                      `json:"max_workers"`
-	Cache       pslocal.SolverCacheStats `json:"cache"`
-	Jobs        pslocal.JobStats         `json:"jobs"`
-	// Latency carries per-track response-latency histograms: reduce,
-	// maxis, jobs_submit, and the solve samples split into cache_hit /
-	// cache_miss (cold parse+CSR vs hot instance-cache path).
-	Latency map[string]pslocal.MetricsHistSnapshot `json:"latency"`
-}
-
-// handleStatz reports the service counters, the Solver's cache and
-// admission statistics, and the job subsystem's counters.
+// handleStatz answers the Solver's cache counters as {"cache": ...}.
+// Every other server number is on /metrics; this block stays only
+// because the serving benchmark (perfbench) reads it, until a
+// benchmark change moves that read to /metrics and deletes the route.
 func (s *server) handleStatz(w http.ResponseWriter, _ *http.Request) {
-	draining := s.draining.Load()
-	s.writeJSON(w, http.StatusOK, statzResponse{
-		UptimeS:     time.Since(s.start).Seconds(),
-		Ready:       !draining,
-		Draining:    draining,
-		Requests:    s.met.requests.Value(),
-		Reduces:     s.met.reduces.Value(),
-		Solves:      s.met.solves.Value(),
-		Failures:    s.met.failures.Value(),
-		Canceled:    s.met.canceled.Value(),
-		Inflight:    s.solver.InFlight(),
-		MaxInflight: s.solver.MaxInFlight(),
-		MaxWorkers:  s.cfg.maxWorkers,
-		Cache:       s.solver.CacheStats(),
-		Jobs:        s.jobs.Stats(),
-		Latency:     s.met.latencySnapshot(),
-	})
+	s.writeJSON(w, http.StatusOK, map[string]pslocal.SolverCacheStats{"cache": s.solver.CacheStats()})
 }
 
 // clampWorkers maps the request's workers parameter onto [1, maxWorkers]:

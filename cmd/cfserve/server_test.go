@@ -13,10 +13,12 @@ import (
 	"testing"
 	"time"
 
+	"pslocal"
 	"pslocal/internal/engine"
 	"pslocal/internal/graph"
 	"pslocal/internal/graphio"
 	"pslocal/internal/maxis"
+	"pslocal/internal/obs"
 )
 
 // newTestServer returns a started httptest server over a fresh service
@@ -319,35 +321,45 @@ func TestCancellationMidReduction(t *testing.T) {
 
 func TestHealthzAndStatz(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
+	var health struct {
+		Status  string  `json:"status"`
+		UptimeS float64 `json:"uptime_s"`
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz status %d", resp.StatusCode)
+	if code := getJSON(t, ts.URL+"/healthz", &health); code != http.StatusOK || health.Status != "ok" || health.UptimeS <= 0 {
+		t.Fatalf("healthz = %d %+v", code, health)
 	}
 
-	// One miss then one hit, visible in /statz.
+	// One miss then one hit, visible on /metrics.
 	body := quickstartBody(t)
 	for i := 0; i < 2; i++ {
 		var out map[string]any
 		postInstance(t, ts.URL+"/v1/reduce?k=3", body, &out)
 	}
-	sresp, err := http.Get(ts.URL + "/statz")
-	if err != nil {
-		t.Fatal(err)
+	e := scrape(t, ts.URL)
+	for _, tc := range []struct {
+		name   string
+		labels []obs.Label
+		want   float64
+	}{
+		{"pslocal_solves_total", []obs.Label{obs.L("endpoint", "reduce")}, 2},
+		{"pslocal_cache_hits_total", nil, 1},
+		{"pslocal_cache_misses_total", nil, 1},
+		{"pslocal_cache_entries", nil, 1},
+		{"pslocal_max_inflight", nil, 2},
+		{"pslocal_max_workers", nil, 2},
+	} {
+		if got := metric(t, e, tc.name, tc.labels...); got != tc.want {
+			t.Errorf("%s%v = %v, want %v", tc.name, tc.labels, got, tc.want)
+		}
 	}
-	defer sresp.Body.Close()
-	var stats statzResponse
-	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
+
+	// /statz keeps only the cache block, for the serving benchmark.
+	var statz map[string]pslocal.SolverCacheStats
+	if code := getJSON(t, ts.URL+"/statz", &statz); code != http.StatusOK {
+		t.Fatalf("statz status %d", code)
 	}
-	if stats.Reduces != 2 || stats.Cache.Hits != 1 || stats.Cache.Misses != 1 || stats.Cache.Entries != 1 {
-		t.Errorf("statz = %+v, want 2 reduces, 1 hit, 1 miss, 1 entry", stats)
-	}
-	if stats.MaxInflight != 2 || stats.MaxWorkers != 2 {
-		t.Errorf("statz limits = %+v", stats)
+	if c, ok := statz["cache"]; len(statz) != 1 || !ok || c.Hits != 1 || c.Misses != 1 || c.Entries != 1 {
+		t.Errorf("statz = %+v, want only a cache block with 1 hit, 1 miss, 1 entry", statz)
 	}
 }
 

@@ -1,34 +1,54 @@
 package main
 
-// statz_test.go covers the /statz latency histograms: per-endpoint
+// statz_test.go covers the latency histograms on /metrics: per-endpoint
 // tracks populate as requests land, the solve samples split into
 // cache_hit vs cache_miss (a cold parse followed by a hot resubmission
 // must feed one sample into each), job submissions feed jobs_submit,
-// and the histogram math itself is pinned by direct unit tests.
+// and the job wait/run counters cfload reads move with a finished job.
 
 import (
 	"encoding/json"
 	"net/http"
 	"testing"
 	"time"
+
+	"pslocal/internal/obs"
 )
 
-// getStatz fetches and decodes /statz.
-func getStatz(t *testing.T, baseURL string) statzResponse {
+// scrape fetches /metrics and parses it with the exposition reader,
+// which also holds it to the format's rules (cumulative buckets,
+// +Inf == _count, no duplicate series).
+func scrape(t *testing.T, baseURL string) *obs.Exposition {
 	t.Helper()
-	resp, err := http.Get(baseURL + "/statz")
+	resp, err := http.Get(baseURL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/statz status %d", resp.StatusCode)
+		t.Fatalf("/metrics status %d", resp.StatusCode)
 	}
-	var st statzResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
+	e, err := obs.ParseExposition(resp.Body)
+	if err != nil {
+		t.Fatalf("/metrics: %v", err)
 	}
-	return st
+	return e
+}
+
+// metric reads one series from a scrape, failing when it is absent.
+func metric(t *testing.T, e *obs.Exposition, name string, labels ...obs.Label) float64 {
+	t.Helper()
+	v, ok := e.Value(name, labels...)
+	if !ok {
+		t.Fatalf("series %s%v missing from /metrics", name, labels)
+	}
+	return v
+}
+
+// trackCount reads one latency track's sample count.
+func trackCount(t *testing.T, e *obs.Exposition, track string) float64 {
+	t.Helper()
+	return metric(t, e, "pslocal_request_duration_seconds_count", obs.L("track", track))
 }
 
 func TestStatzLatencyTracks(t *testing.T) {
@@ -36,14 +56,10 @@ func TestStatzLatencyTracks(t *testing.T) {
 	body := quickstartBody(t)
 
 	// Before any traffic every track exists and is empty.
-	st := getStatz(t, ts.URL)
+	e := scrape(t, ts.URL)
 	for _, track := range []string{"reduce", "maxis", "jobs_submit", "cache_hit", "cache_miss"} {
-		snap, ok := st.Latency[track]
-		if !ok {
-			t.Fatalf("track %q missing from /statz", track)
-		}
-		if snap.Count != 0 {
-			t.Fatalf("track %q nonzero before traffic: %+v", track, snap)
+		if n := trackCount(t, e, track); n != 0 {
+			t.Fatalf("track %q nonzero before traffic: %v", track, n)
 		}
 	}
 
@@ -58,23 +74,19 @@ func TestStatzLatencyTracks(t *testing.T) {
 		t.Fatalf("warm reduce status %d", resp.StatusCode)
 	}
 
-	st = getStatz(t, ts.URL)
-	if got := st.Latency["reduce"].Count; got != 2 {
-		t.Fatalf("reduce count = %d, want 2", got)
+	e = scrape(t, ts.URL)
+	if got := trackCount(t, e, "reduce"); got != 2 {
+		t.Fatalf("reduce count = %v, want 2", got)
 	}
-	if got := st.Latency["cache_miss"].Count; got != 1 {
-		t.Fatalf("cache_miss count = %d, want 1 (the cold parse)", got)
+	if got := trackCount(t, e, "cache_miss"); got != 1 {
+		t.Fatalf("cache_miss count = %v, want 1 (the cold parse)", got)
 	}
-	if got := st.Latency["cache_hit"].Count; got != 1 {
-		t.Fatalf("cache_hit count = %d, want 1 (the resubmission)", got)
+	if got := trackCount(t, e, "cache_hit"); got != 1 {
+		t.Fatalf("cache_hit count = %v, want 1 (the resubmission)", got)
 	}
 	for _, track := range []string{"reduce", "cache_miss"} {
-		snap := st.Latency[track]
-		if snap.MaxMS <= 0 || snap.MeanMS <= 0 {
-			t.Fatalf("track %q has no timing: %+v", track, snap)
-		}
-		if snap.P50MS > snap.P95MS || snap.P95MS > snap.P99MS {
-			t.Fatalf("track %q quantiles not monotone: %+v", track, snap)
+		if sum := metric(t, e, "pslocal_request_duration_seconds_sum", obs.L("track", track)); sum <= 0 {
+			t.Fatalf("track %q has no timing: sum %v", track, sum)
 		}
 	}
 
@@ -87,8 +99,8 @@ func TestStatzLatencyTracks(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad k status %d", resp.StatusCode)
 	}
-	if got := getStatz(t, ts.URL).Latency["reduce"].Count; got != 2 {
-		t.Fatalf("failed request entered the reduce histogram: count %d", got)
+	if got := trackCount(t, scrape(t, ts.URL), "reduce"); got != 2 {
+		t.Fatalf("failed request entered the reduce histogram: count %v", got)
 	}
 
 	// A job submission lands in jobs_submit, not in the solve tracks.
@@ -101,28 +113,30 @@ func TestStatzLatencyTracks(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted || jobOut.Job.ID == "" {
 		t.Fatalf("job submit: status %d, %+v", resp.StatusCode, jobOut)
 	}
-	st = getStatz(t, ts.URL)
-	if got := st.Latency["jobs_submit"].Count; got != 1 {
-		t.Fatalf("jobs_submit count = %d, want 1", got)
+	e = scrape(t, ts.URL)
+	if got := trackCount(t, e, "jobs_submit"); got != 1 {
+		t.Fatalf("jobs_submit count = %v, want 1", got)
 	}
-	if got := st.Latency["reduce"].Count; got != 2 {
-		t.Fatalf("job submission leaked into the reduce track: count %d", got)
+	if got := trackCount(t, e, "reduce"); got != 2 {
+		t.Fatalf("job submission leaked into the reduce track: count %v", got)
 	}
-	// Job wait/run sums flow through the same /statz document; Started
-	// and Finished are the new denominators cfload consumes.
+	// The job wait/run counters cfload reads for its split move with
+	// the finished job.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		st = getStatz(t, ts.URL)
-		if st.Jobs.Finished >= 1 {
+		e = scrape(t, ts.URL)
+		if metric(t, e, "pslocal_jobs_finished_total") >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("job never finished: %+v", st.Jobs)
+			t.Fatal("job never finished")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if st.Jobs.Started < 1 || st.Jobs.RunSumMS < 0 || st.Jobs.WaitSumMS < 0 {
-		t.Fatalf("jobs split implausible: %+v", st.Jobs)
+	if metric(t, e, "pslocal_jobs_started_total") < 1 ||
+		metric(t, e, "pslocal_jobs_wait_seconds_total") < 0 ||
+		metric(t, e, "pslocal_jobs_run_seconds_total") < 0 {
+		t.Fatal("jobs split implausible")
 	}
 }
 
@@ -135,11 +149,11 @@ func TestStatzMaxISLatencyTrack(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("maxis status %d: %s", resp.StatusCode, out)
 	}
-	st := getStatz(t, ts.URL)
-	if got := st.Latency["maxis"].Count; got != 1 {
-		t.Fatalf("maxis count = %d, want 1", got)
+	e := scrape(t, ts.URL)
+	if got := trackCount(t, e, "maxis"); got != 1 {
+		t.Fatalf("maxis count = %v, want 1", got)
 	}
-	if st.Latency["cache_miss"].Count != 1 {
-		t.Fatalf("maxis cold solve missing from cache_miss: %+v", st.Latency)
+	if got := trackCount(t, e, "cache_miss"); got != 1 {
+		t.Fatalf("maxis cold solve missing from cache_miss: count %v", got)
 	}
 }

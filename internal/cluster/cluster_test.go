@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"pslocal/internal/graphio"
+	"pslocal/internal/obs"
 	"pslocal/internal/solver"
 )
 
@@ -83,8 +84,8 @@ func TestHealthEjectionAndReadmission(t *testing.T) {
 	if h.healthy("b1") {
 		t.Fatal("b1 should be ejected after 2 consecutive failures")
 	}
-	if snap := h.snapshot()["b1"]; snap.Ejections != 1 {
-		t.Fatalf("ejections = %d, want 1", snap.Ejections)
+	if st := h.state("b1"); st.ejections != 1 {
+		t.Fatalf("ejections = %d, want 1", st.ejections)
 	}
 	// Failures while ejected grow the backoff; success re-admits.
 	h.reportFailure("b1")
@@ -92,8 +93,8 @@ func TestHealthEjectionAndReadmission(t *testing.T) {
 	if !h.healthy("b1") {
 		t.Fatal("success must re-admit")
 	}
-	if snap := h.snapshot()["b1"]; snap.Fails != 0 {
-		t.Fatalf("fails = %d after success, want 0", snap.Fails)
+	if st := h.state("b1"); st.fails != 0 {
+		t.Fatalf("fails = %d after success, want 0", st.fails)
 	}
 	// A success in between resets the consecutive counter.
 	h.reportFailure("b2")
@@ -195,6 +196,37 @@ func postReduce(t *testing.T, g *Gateway, body string) *httptest.ResponseRecorde
 	return rec
 }
 
+// scrape serves GET /metrics (a request the gateway counts) and parses
+// the exposition, which also holds it to the format's rules.
+func scrape(t *testing.T, g *Gateway) *obs.Exposition {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	g.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/metrics status %d", rec.Code)
+	}
+	e, err := obs.ParseExposition(rec.Body)
+	if err != nil {
+		t.Fatalf("/metrics: %v", err)
+	}
+	return e
+}
+
+// perBackend reads one per-backend family, failing when a backend's
+// series is absent.
+func perBackend(t *testing.T, e *obs.Exposition, name string, backends ...string) map[string]float64 {
+	t.Helper()
+	out := make(map[string]float64, len(backends))
+	for _, b := range backends {
+		v, ok := e.Value(name, obs.L("backend", b))
+		if !ok {
+			t.Fatalf("series %s{backend=%q} missing from /metrics", name, b)
+		}
+		out[b] = v
+	}
+	return out
+}
+
 func TestGatewayAffinityPinsInstances(t *testing.T) {
 	b1, b2, b3 := newSolveBackend(t, "b1"), newSolveBackend(t, "b2"), newSolveBackend(t, "b3")
 	g := newTestGateway(t, Config{Backends: []string{b1.srv.URL, b2.srv.URL, b3.srv.URL}})
@@ -263,7 +295,7 @@ func TestGatewayRetriesRefusingBackend(t *testing.T) {
 	if next := rec.Header().Get(HeaderBackend); next == owner || next == "" {
 		t.Fatalf("rerouted to %q, want a different backend", next)
 	}
-	if g.Stats().Rerouted == 0 {
+	if v, _ := scrape(t, g).Value("cfgate_rerouted_total"); v == 0 {
 		t.Fatal("reroute not counted")
 	}
 }
@@ -307,33 +339,43 @@ func TestGatewayAllBackendsDown(t *testing.T) {
 	if rec.Header().Get("Retry-After") == "" {
 		t.Fatal("relayed 503 lost its Retry-After header")
 	}
-	if g.Stats().Failures == 0 {
+	if v, _ := scrape(t, g).Value("cfgate_failures_total"); v == 0 {
 		t.Fatal("exhausted plan not counted as a failure")
 	}
 }
 
 func TestGatewayJobGet404Failover(t *testing.T) {
 	const id = "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"
-	mkBackend := func(has bool) *httptest.Server {
-		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	// Backend URLs carry random ports, so the id's ring order is only
+	// known once the gateway exists; the job then goes to the backend
+	// the scan reaches last, so the lookup passes over two 404s.
+	var ownerURL atomic.Value // string
+	mkBackend := func() *httptest.Server {
+		var srv *httptest.Server
+		srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/readyz" {
 				w.WriteHeader(http.StatusOK)
 				return
 			}
 			w.Header().Set("Content-Type", "application/json")
-			if !has {
+			if ownerURL.Load() != srv.URL {
 				w.WriteHeader(http.StatusNotFound)
 				fmt.Fprintln(w, `{"error":"jobs: no such job"}`)
 				return
 			}
 			fmt.Fprintf(w, `{"job":{"id":%q,"state":"done"}}`+"\n", id)
 		}))
+		t.Cleanup(srv.Close)
+		return srv
 	}
-	misses1, misses2, owner := mkBackend(false), mkBackend(false), mkBackend(true)
-	defer misses1.Close()
-	defer misses2.Close()
-	defer owner.Close()
-	g := newTestGateway(t, Config{Backends: []string{misses1.URL, misses2.URL, owner.URL}})
+	all := []string{mkBackend().URL, mkBackend().URL, mkBackend().URL}
+	g := newTestGateway(t, Config{Backends: all})
+	plan := g.bal.plan(id, PolicyAffinity)
+	if len(plan) != 3 {
+		t.Fatalf("plan %v, want all three backends", plan)
+	}
+	owner := plan[2]
+	ownerURL.Store(owner)
 
 	req := httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id, nil)
 	rec := httptest.NewRecorder()
@@ -341,17 +383,43 @@ func TestGatewayJobGet404Failover(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d, want the 404s skipped: %s", rec.Code, rec.Body)
 	}
-	if rec.Header().Get(HeaderBackend) != owner.URL {
+	if rec.Header().Get(HeaderBackend) != owner {
 		t.Fatalf("served by %q, want the owning backend", rec.Header().Get(HeaderBackend))
 	}
+	// Each backend the id scan passed over counts one job-lookup
+	// failover, and none counts as a retry: a 404 is the scan working.
+	e := scrape(t, g)
+	for b, n := range perBackend(t, e, "cfgate_job_lookup_failovers_total", all...) {
+		want := 1.0
+		if b == owner {
+			want = 0
+		}
+		if n != want {
+			t.Errorf("backend %s: %v job-lookup failovers, want %v", b, n, want)
+		}
+	}
+	for b, n := range perBackend(t, e, "cfgate_backend_retries_total", all...) {
+		if n != 0 {
+			t.Errorf("backend %s: %v retries for a job lookup, want 0", b, n)
+		}
+	}
 
-	// Unknown everywhere stays a 404 for the client.
+	// Unknown everywhere stays a 404 for the client; the first backend
+	// is passed over, the last one's 404 is the answer.
 	req = httptest.NewRequest(http.MethodGet, "/v1/jobs/"+strings.Repeat("b", 64), nil)
 	rec = httptest.NewRecorder()
-	gAllMiss := newTestGateway(t, Config{Backends: []string{misses1.URL, misses2.URL}})
+	gAllMiss := newTestGateway(t, Config{Backends: plan[:2]})
 	gAllMiss.ServeHTTP(rec, req)
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("status %d for a job no backend knows, want 404", rec.Code)
+	}
+	e = scrape(t, gAllMiss)
+	var failovers float64
+	for _, n := range perBackend(t, e, "cfgate_job_lookup_failovers_total", plan[:2]...) {
+		failovers += n
+	}
+	if failovers != 1 {
+		t.Errorf("job-lookup failovers = %v across two 404ing backends, want 1", failovers)
 	}
 }
 
@@ -429,19 +497,33 @@ func TestGatewayStatzCountsPerBackend(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		postReduce(t, g, body)
 	}
-	st := g.Stats()
-	if st.Requests != 4 || len(st.Backends) != 2 {
-		t.Fatalf("stats = %+v", st)
+	e := scrape(t, g)
+	// The four reduces plus the scrape itself.
+	if v, _ := e.Value("cfgate_requests_total"); v != 5 {
+		t.Fatalf("requests = %v, want 5", v)
 	}
-	var proxied uint64
-	for _, row := range st.Backends {
-		proxied += row.Proxied
-		if row.InFlight != 0 {
-			t.Fatalf("in-flight %d after requests completed", row.InFlight)
+	if v, ok := e.Value("cfgate_policy_info", obs.L("policy", "round-robin")); !ok || v != 1 {
+		t.Fatalf("policy info = %v (found %t), want round-robin = 1", v, ok)
+	}
+	var proxied float64
+	for b, n := range perBackend(t, e, "cfgate_backend_proxied_total", b1.srv.URL, b2.srv.URL) {
+		proxied += n
+		if n != 2 {
+			t.Errorf("backend %s proxied %v, want 2 under round-robin", b, n)
 		}
 	}
 	if proxied != 4 {
-		t.Fatalf("proxied sum = %d, want 4", proxied)
+		t.Fatalf("proxied sum = %v, want 4", proxied)
+	}
+	for b, n := range perBackend(t, e, "cfgate_backend_inflight", b1.srv.URL, b2.srv.URL) {
+		if n != 0 {
+			t.Fatalf("backend %s in-flight %v after requests completed", b, n)
+		}
+	}
+	for b, n := range perBackend(t, e, "cfgate_backend_consecutive_failures", b1.srv.URL, b2.srv.URL) {
+		if n != 0 {
+			t.Fatalf("backend %s has %v consecutive failures, want 0", b, n)
+		}
 	}
 }
 

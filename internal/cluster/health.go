@@ -51,20 +51,12 @@ func (c ProbeConfig) withDefaults() ProbeConfig {
 	return c
 }
 
-// BackendHealth is one backend's availability snapshot (statz).
-type BackendHealth struct {
-	Backend string `json:"backend"`
-	Healthy bool   `json:"healthy"`
-	// Fails is the current consecutive-failure count.
-	Fails int `json:"fails,omitempty"`
-	// Ejections counts healthy→ejected transitions.
-	Ejections uint64 `json:"ejections,omitempty"`
-}
-
 // backendState is the mutable health record of one backend.
 type backendState struct {
-	healthy   bool
-	fails     int
+	healthy bool
+	// fails is the current consecutive-failure count.
+	fails int
+	// ejections counts healthy→ejected transitions.
 	ejections uint64
 	// backoff and nextProbe gate re-probing an ejected backend; healthy
 	// backends probe every Interval.
@@ -99,12 +91,7 @@ func newHealth(backends []string, cfg ProbeConfig, transport http.RoundTripper) 
 }
 
 // healthy reports whether the backend is currently admitted.
-func (h *health) healthy(backend string) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	st, ok := h.states[backend]
-	return ok && st.healthy
-}
+func (h *health) healthy(backend string) bool { return h.state(backend).healthy }
 
 // reportFailure records one failed interaction (probe or passive proxy
 // transport error) and ejects at the threshold.
@@ -159,15 +146,15 @@ func (h *health) due(now time.Time) []string {
 	return out
 }
 
-// snapshot returns every backend's state, sorted by name upstream.
-func (h *health) snapshot() map[string]BackendHealth {
+// state returns a copy of one backend's record (the zero record for a
+// backend the gateway does not know).
+func (h *health) state(backend string) backendState {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make(map[string]BackendHealth, len(h.states))
-	for b, st := range h.states {
-		out[b] = BackendHealth{Backend: b, Healthy: st.healthy, Fails: st.fails, Ejections: st.ejections}
+	if st, ok := h.states[backend]; ok {
+		return *st
 	}
-	return out
+	return backendState{}
 }
 
 // probe performs one readiness check: any 2xx is healthy.

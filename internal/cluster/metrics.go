@@ -1,12 +1,12 @@
 package cluster
 
 // metrics.go is the gateway's metrics surface: one obs.Registry renders
-// GET /metrics in the Prometheus text format. The request counters are
-// the same handles Stats() (the /statz document) reads, so the two
-// expositions can never disagree; per-backend series — proxy-attempt
-// latency, retried attempts, health, ejections, in-flight and proxied
-// totals — are labeled by backend URL and either hit typed handles on
-// the proxy path or read through func-backed series at scrape time.
+// GET /metrics in the Prometheus text format, the one place the gateway
+// publishes its numbers. Per-backend series — proxy-attempt latency,
+// retried attempts, job-lookup failovers, proxied totals, health,
+// consecutive failures, ejections and in-flight counts — are labeled by
+// backend URL and either hit typed handles on the proxy path or read
+// through func-backed series at scrape time.
 
 import (
 	"pslocal/internal/obs"
@@ -20,16 +20,26 @@ type gatewayMetrics struct {
 	rerouted *obs.Counter // attempts routed past the first candidate
 	failures *obs.Counter // requests answered 4xx/5xx or given up on
 
-	// proxy times each upstream attempt; retries counts attempts a
-	// backend failed or declined (the request moved to the next
-	// candidate). Both are per backend.
-	proxy   map[string]*obs.Histogram
-	retries map[string]*obs.Counter
+	// backends holds each backend's proxy-path handles, keyed by URL;
+	// the set is fixed at construction, so lookups need no lock.
+	backends map[string]*backendMetrics
+}
+
+// backendMetrics are one backend's proxy-path handles.
+type backendMetrics struct {
+	proxy   *obs.Histogram // every upstream attempt's latency
+	retries *obs.Counter   // attempts it failed or declined (the request moved on)
+	// failovers counts job lookups it answered 404 while later
+	// candidates remained: the id scan moving on, not a failure. Its
+	// family name must not start with cfgate_backend_retries_total,
+	// which the serving benchmark sums by prefix.
+	failovers *obs.Counter
+	proxied   *obs.Counter // requests it answered
 }
 
 // newGatewayMetrics builds the registry over the gateway's fixed backend
-// set; the func-backed series read health, load and proxied state at
-// scrape time.
+// set; the func-backed series read health and load state at scrape
+// time.
 func newGatewayMetrics(g *Gateway) *gatewayMetrics {
 	reg := obs.NewRegistry()
 	m := &gatewayMetrics{
@@ -37,16 +47,21 @@ func newGatewayMetrics(g *Gateway) *gatewayMetrics {
 		requests: reg.Counter("cfgate_requests_total", "HTTP requests received, any endpoint."),
 		rerouted: reg.Counter("cfgate_rerouted_total", "Proxy attempts routed past the first candidate."),
 		failures: reg.Counter("cfgate_failures_total", "Requests answered 4xx/5xx or exhausted every candidate."),
-		proxy:    make(map[string]*obs.Histogram),
-		retries:  make(map[string]*obs.Counter),
+		backends: make(map[string]*backendMetrics),
 	}
-	for _, b := range g.ring.Backends() {
-		backend := b
-		label := obs.Label{Key: "backend", Value: backend}
-		m.proxy[backend] = reg.Histogram("cfgate_proxy_duration_seconds",
-			"Upstream attempt latency by backend.", label)
-		m.retries[backend] = reg.Counter("cfgate_backend_retries_total",
-			"Attempts this backend failed or declined (the request moved on).", label)
+	reg.GaugeFunc("cfgate_policy_info", "The routing policy in force (always 1).",
+		func() float64 { return 1 }, obs.L("policy", string(g.cfg.Policy)))
+	for _, backend := range g.ring.Backends() {
+		label := obs.L("backend", backend)
+		m.backends[backend] = &backendMetrics{
+			proxy: reg.Histogram("cfgate_proxy_duration_seconds",
+				"Upstream attempt latency by backend.", label),
+			retries: reg.Counter("cfgate_backend_retries_total",
+				"Attempts this backend failed or declined (the request moved on).", label),
+			failovers: reg.Counter("cfgate_job_lookup_failovers_total",
+				"Job lookups this backend answered 404 while the gateway tried the next backend.", label),
+			proxied: reg.Counter("cfgate_backend_proxied_total", "Requests this backend answered.", label),
+		}
 		reg.GaugeFunc("cfgate_backend_healthy", "Whether the backend is admitted (1) or ejected (0).",
 			func() float64 {
 				if g.hlth.healthy(backend) {
@@ -54,20 +69,12 @@ func newGatewayMetrics(g *Gateway) *gatewayMetrics {
 				}
 				return 0
 			}, label)
+		reg.GaugeFunc("cfgate_backend_consecutive_failures", "Consecutive failed probes or proxy attempts.",
+			func() float64 { return float64(g.hlth.state(backend).fails) }, label)
 		reg.CounterFunc("cfgate_backend_ejections_total", "Healthy-to-ejected transitions.",
-			func() float64 { return float64(g.hlth.snapshot()[backend].Ejections) }, label)
+			func() float64 { return float64(g.hlth.state(backend).ejections) }, label)
 		reg.GaugeFunc("cfgate_backend_inflight", "Requests currently proxied to the backend.",
 			func() float64 { return float64(g.loads.load(backend)) }, label)
-		reg.CounterFunc("cfgate_backend_proxied_total", "Requests this backend answered.",
-			func() float64 {
-				g.proxiedMu.Lock()
-				c, ok := g.proxied[backend]
-				g.proxiedMu.Unlock()
-				if !ok {
-					return 0
-				}
-				return float64(c.Load())
-			}, label)
 	}
 	reg.GaugeFunc("cfgate_healthy_backends", "Backends currently admitted for routing.",
 		func() float64 { return float64(len(g.bal.healthyBackends())) })

@@ -20,10 +20,8 @@ import (
 	"net/http"
 	"net/textproto"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pslocal/internal/graphio"
@@ -77,12 +75,9 @@ type Gateway struct {
 	start  time.Time
 	logger *slog.Logger
 
-	// met owns the request counters (shared by /statz and /metrics) and
-	// the per-backend proxy series. Built after the ring in New.
+	// met owns the request counters and the per-backend proxy series
+	// GET /metrics serves. Built after the ring in New.
 	met *gatewayMetrics
-
-	proxiedMu sync.Mutex
-	proxied   map[string]*atomic.Uint64
 }
 
 // New validates cfg and builds the gateway.
@@ -129,13 +124,6 @@ func New(cfg Config) (*Gateway, error) {
 		mux:    http.NewServeMux(),
 		start:  time.Now(),
 		logger: logger,
-		proxied: func() map[string]*atomic.Uint64 {
-			m := make(map[string]*atomic.Uint64, len(backends))
-			for _, b := range backends {
-				m[b] = new(atomic.Uint64)
-			}
-			return m
-		}(),
 	}
 	g.met = newGatewayMetrics(g)
 	g.mux.HandleFunc("POST /v1/reduce", g.solveHandler(solver.KindHypergraph))
@@ -147,12 +135,11 @@ func New(cfg Config) (*Gateway, error) {
 	g.mux.HandleFunc("GET /v1/jobs/{id}/events", g.handleJobByID)
 	g.mux.HandleFunc("GET /healthz", g.handleHealthz)
 	g.mux.HandleFunc("GET /readyz", g.handleReadyz)
-	g.mux.HandleFunc("GET /statz", g.handleStatz)
 	g.mux.Handle("GET /metrics", g.met.reg.Handler())
 	return g, nil
 }
 
-// Ring exposes the routing ring (statz, tests).
+// Ring exposes the routing ring (tests).
 func (g *Gateway) Ring() *Ring { return g.ring }
 
 // Run drives the health prober until ctx is done (callers run it in a
@@ -220,34 +207,6 @@ func (g *Gateway) writeError(w http.ResponseWriter, status int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-}
-
-// markProxied counts one served request on backend.
-func (g *Gateway) markProxied(backend string) {
-	g.proxiedMu.Lock()
-	c, ok := g.proxied[backend]
-	if !ok {
-		c = new(atomic.Uint64)
-		g.proxied[backend] = c
-	}
-	g.proxiedMu.Unlock()
-	c.Add(1)
-}
-
-// observeAttempt records one upstream attempt's latency on the
-// backend's proxy-duration series.
-func (g *Gateway) observeAttempt(backend string, d time.Duration) {
-	if h, ok := g.met.proxy[backend]; ok {
-		h.Observe(d)
-	}
-}
-
-// countRetry counts an attempt the backend failed or declined (the
-// request moved to the next candidate, or ran out of them).
-func (g *Gateway) countRetry(backend string) {
-	if c, ok := g.met.retries[backend]; ok {
-		c.Inc()
-	}
 }
 
 // logSlow emits a structured warning for proxied requests at or above
@@ -396,9 +355,10 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, plan []string,
 			return
 		}
 		copyClientHeaders(req.Header, r.Header)
+		bm := g.met.backends[backend]
 		attemptStart := time.Now()
 		resp, err := g.client.Do(req)
-		g.observeAttempt(backend, time.Since(attemptStart))
+		bm.proxy.Observe(time.Since(attemptStart))
 		if err != nil {
 			release()
 			// The client went away: not the backend's fault, stop here.
@@ -407,11 +367,12 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, plan []string,
 				return
 			}
 			g.hlth.reportFailure(backend)
-			g.countRetry(backend)
+			bm.retries.Inc()
 			lastStatus = http.StatusBadGateway
 			continue
 		}
-		if retryableStatus(resp.StatusCode) || (skipNext != nil && skipNext(resp) && i < len(plan)-1) {
+		retryable := retryableStatus(resp.StatusCode)
+		if retryable || (skipNext != nil && skipNext(resp) && i < len(plan)-1) {
 			// Keep the response: if every candidate declines, the last
 			// answer (its status and body) is more useful than a generic
 			// 502 — a unanimous 404 must stay a 404.
@@ -419,11 +380,15 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, plan []string,
 			lastStatus = resp.StatusCode
 			lastResp = resp
 			release()
-			g.countRetry(backend)
+			if retryable {
+				bm.retries.Inc()
+			} else {
+				bm.failovers.Inc()
+			}
 			continue
 		}
 		g.hlth.reportSuccess(backend)
-		g.markProxied(backend)
+		bm.proxied.Inc()
 		g.copyResponse(w, resp, backend)
 		release()
 		g.logSlow(r, backend, time.Since(started))
@@ -566,7 +531,11 @@ func (g *Gateway) handleJobList(w http.ResponseWriter, r *http.Request) {
 // handleHealthz is the gateway's own liveness.
 func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]string{"status": "ok", "service": "cfgate"})
+	json.NewEncoder(w).Encode(map[string]any{
+		"status":   "ok",
+		"service":  "cfgate",
+		"uptime_s": time.Since(g.start).Seconds(),
+	})
 }
 
 // handleReadyz reports readiness: at least one healthy backend.
@@ -579,63 +548,4 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	json.NewEncoder(w).Encode(map[string]any{"status": "ready", "healthy_backends": len(healthy)})
-}
-
-// BackendStatz is one backend's statz row.
-type BackendStatz struct {
-	BackendHealth
-	InFlight int64  `json:"in_flight"`
-	Proxied  uint64 `json:"proxied"`
-}
-
-// GatewayStats is the gateway's /statz document.
-type GatewayStats struct {
-	Service  string         `json:"service"`
-	Policy   Policy         `json:"policy"`
-	UptimeMS float64        `json:"uptime_ms"`
-	Requests uint64         `json:"requests"`
-	Rerouted uint64         `json:"rerouted"`
-	Failures uint64         `json:"failures"`
-	Backends []BackendStatz `json:"backends"`
-}
-
-// Stats snapshots the gateway (the /statz payload).
-func (g *Gateway) Stats() GatewayStats {
-	hs := g.hlth.snapshot()
-	names := make([]string, 0, len(hs))
-	for name := range hs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	rows := make([]BackendStatz, 0, len(names))
-	g.proxiedMu.Lock()
-	for _, name := range names {
-		var proxied uint64
-		if c, ok := g.proxied[name]; ok {
-			proxied = c.Load()
-		}
-		rows = append(rows, BackendStatz{
-			BackendHealth: hs[name],
-			InFlight:      g.loads.load(name),
-			Proxied:       proxied,
-		})
-	}
-	g.proxiedMu.Unlock()
-	return GatewayStats{
-		Service:  "cfgate",
-		Policy:   g.cfg.Policy,
-		UptimeMS: float64(time.Since(g.start).Microseconds()) / 1000,
-		Requests: g.met.requests.Value(),
-		Rerouted: g.met.rerouted.Value(),
-		Failures: g.met.failures.Value(),
-		Backends: rows,
-	}
-}
-
-// handleStatz serves the stats document.
-func (g *Gateway) handleStatz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(g.Stats())
 }

@@ -1,9 +1,9 @@
 package jobs
 
 // metrics.go carries the subsystem's counters: submissions, terminal
-// outcomes, retries, queue/running gauges and latency sums. cfserve's
-// /statz merges a Stats snapshot in, and cfbatch prints one as its final
-// summary.
+// outcomes, retries, queue/running gauges and latency sums. cfserve
+// publishes a Stats snapshot's fields on /metrics and embeds it in
+// /readyz and /drainz, and cfbatch prints one as its final summary.
 
 import "sync/atomic"
 

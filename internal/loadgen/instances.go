@@ -12,7 +12,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"pslocal/internal/graph"
 	"pslocal/internal/graphio"
@@ -64,10 +63,12 @@ func (s InstSpec) validate() error {
 	return nil
 }
 
-// cacheKey identifies the (spec, format) pair in the body cache.
-func (s InstSpec) cacheKey(format string) string {
-	return fmt.Sprintf("%s/%s/n%d/m%d/k%d/s%d-%d/p%g/seed%d@%s",
-		s.Kind, s.Gen, s.N, s.M, s.K, s.SizeLo, s.SizeHi, s.P, s.Seed, format)
+// instFormat is one instance in one wire format: the unit Plan reuses
+// and the unit a request body is built from. Equal pairs always build
+// identical bytes.
+type instFormat struct {
+	inst   InstSpec
+	format string
 }
 
 // Build materializes the instance in the given wire format. The same
@@ -120,34 +121,26 @@ func (s InstSpec) Build(format string) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// bodyCache memoizes materialized bodies so a reused instance (the
-// cache-hit mechanism) is generated once per run, and body construction
-// stays off the request timing path.
-type bodyCache struct {
-	mu     sync.Mutex
-	bodies map[string][]byte
+// builtBody is one materialized request body, or the error building it.
+type builtBody struct {
+	b   []byte
+	err error
 }
 
-func newBodyCache() *bodyCache {
-	return &bodyCache{bodies: make(map[string][]byte)}
-}
-
-// get returns the memoized body for (spec, format), building it on the
-// first request.
-func (c *bodyCache) get(spec InstSpec, format string) ([]byte, error) {
-	key := spec.cacheKey(format)
-	c.mu.Lock()
-	body, ok := c.bodies[key]
-	c.mu.Unlock()
-	if ok {
-		return body, nil
+// buildBodies materializes every record's body before the first
+// dispatch, so no request's clock covers generating one; records that
+// share an (instance, format) pair share one build.
+func buildBodies(t *Trace) []builtBody {
+	built := make(map[instFormat]builtBody)
+	bodies := make([]builtBody, len(t.Records))
+	for i := range t.Records {
+		key := instFormat{t.Records[i].Inst, t.Records[i].Format}
+		b, ok := built[key]
+		if !ok {
+			b.b, b.err = key.inst.Build(key.format)
+			built[key] = b
+		}
+		bodies[i] = b
 	}
-	body, err := spec.Build(format)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	c.bodies[key] = body
-	c.mu.Unlock()
-	return body, nil
+	return bodies
 }

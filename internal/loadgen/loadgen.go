@@ -11,10 +11,11 @@
 // silently throttling the offered load. Each request belongs to a
 // weighted workload Class naming an endpoint (/v1/reduce, /v1/maxis or
 // /v1/jobs), a pscgen-style instance generator with its size parameters,
-// the set of wire formats to rotate through, the solve parameters and a
-// per-class latency SLO. A configurable fraction of arrivals reuses a
-// previously issued instance (HitRatio), which is what steers the
-// server-side content-hash cache-hit ratio.
+// the wire formats a fresh instance draws from, the solve parameters and
+// a per-class latency SLO. A configurable fraction of arrivals reuses a
+// previously issued instance in its first format (HitRatio) — the same
+// bytes, so the same server-side content-hash cache key — which is what
+// steers the server's cache-hit ratio.
 //
 // Everything is deterministic from Spec.Seed: Plan expands a Spec into a
 // Trace — the full schedule of requests, each with its arrival offset,
@@ -64,7 +65,7 @@ const (
 // deterministic request schedule.
 type Spec struct {
 	// Seed drives every random choice in the plan (arrival gaps, class
-	// picks, format rotation, instance seeds, reuse picks).
+	// picks, format draws, instance seeds, reuse picks).
 	Seed int64 `json:"seed"`
 	// Requests is the total number of arrivals to schedule.
 	Requests int `json:"requests"`
@@ -93,7 +94,8 @@ type Class struct {
 	Endpoint string `json:"endpoint"`
 	// Kind/Gen and the size fields parameterize the pscgen-style
 	// instance generator (see InstSpec); each fresh arrival draws a new
-	// instance seed, each reused arrival repeats an earlier spec.
+	// instance seed, each reused arrival repeats an earlier spec and
+	// format.
 	Kind   string  `json:"kind"` // graph | hypergraph
 	Gen    string  `json:"gen"`  // gnp|grid|cycle|tree | planted|uniform|interval|star
 	N      int     `json:"n"`
@@ -102,8 +104,9 @@ type Class struct {
 	SizeLo int     `json:"size_lo,omitempty"`
 	SizeHi int     `json:"size_hi,omitempty"`
 	P      float64 `json:"p,omitempty"`
-	// Formats are the wire formats to rotate through (uniformly at
-	// random). DIMACS is graphs-only, enforced by Plan.
+	// Formats are the wire formats fresh instances draw from (uniformly
+	// at random); a reused instance keeps its format. DIMACS is
+	// graphs-only, enforced by Plan.
 	Formats []string `json:"formats"`
 	// Params are the request query parameters.
 	Params Params `json:"params"`
@@ -194,8 +197,9 @@ func (s Spec) validate() (Spec, error) {
 
 // Plan expands spec into the deterministic request schedule: arrival
 // offsets drawn from the inter-arrival distribution, classes picked by
-// weight, formats rotated uniformly, and instance specs that are fresh
-// (new seed) or reused (HitRatio) per arrival. Plan performs no I/O; the
+// weight, and per arrival either a fresh instance (new seed, format drawn
+// uniformly) or, with probability HitRatio, an earlier instance of the
+// class in the format it was first sent in. Plan performs no I/O; the
 // returned trace's records carry no outcomes yet.
 func Plan(spec Spec) (*Trace, error) {
 	spec, err := spec.validate()
@@ -209,8 +213,10 @@ func Plan(spec Spec) (*Trace, error) {
 	for _, c := range spec.Classes {
 		total += c.Weight
 	}
-	// Per-class pool of instance specs already issued, the reuse targets.
-	pools := make([][]InstSpec, len(spec.Classes))
+	// Per-class pool of (instance, format) pairs already issued, the
+	// reuse targets: a reuse repeats the pair, so it sends the same bytes
+	// and hits the same server-side cache key.
+	pools := make([][]instFormat, len(spec.Classes))
 
 	tr := &Trace{Seed: spec.Seed, Records: make([]Record, 0, spec.Requests)}
 	at := 0.0 // seconds since run start
@@ -218,22 +224,24 @@ func Plan(spec Spec) (*Trace, error) {
 		at += next(rng)
 		ci := pickClass(rng, spec.Classes, total)
 		c := &spec.Classes[ci]
-		format := c.Formats[rng.Intn(len(c.Formats))]
-		var inst InstSpec
+		var pick instFormat
 		if pool := pools[ci]; len(pool) > 0 && rng.Float64() < spec.HitRatio {
-			inst = pool[rng.Intn(len(pool))]
+			pick = pool[rng.Intn(len(pool))]
 		} else {
-			inst = InstSpec{Kind: c.Kind, Gen: c.Gen, N: c.N, M: c.M, K: c.K,
-				SizeLo: c.SizeLo, SizeHi: c.SizeHi, P: c.P, Seed: rng.Int63()}
-			pools[ci] = append(pools[ci], inst)
+			pick = instFormat{
+				format: c.Formats[rng.Intn(len(c.Formats))],
+				inst: InstSpec{Kind: c.Kind, Gen: c.Gen, N: c.N, M: c.M, K: c.K,
+					SizeLo: c.SizeLo, SizeHi: c.SizeHi, P: c.P, Seed: rng.Int63()},
+			}
+			pools[ci] = append(pools[ci], pick)
 		}
 		tr.Records = append(tr.Records, Record{
 			Seq:       i,
 			AtUS:      int64(at * 1e6),
 			Class:     c.Name,
 			Endpoint:  c.Endpoint,
-			Format:    format,
-			Inst:      inst,
+			Format:    pick.format,
+			Inst:      pick.inst,
 			Params:    c.Params,
 			SLOMillis: c.SLOMillis,
 		})

@@ -100,19 +100,21 @@ func TestPlanHitRatioReuse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Plan: %v", err)
 	}
-	seen := map[string]bool{}
+	firstFormat := map[InstSpec]string{}
 	reused := 0
 	for _, rec := range tr.Records {
-		key := rec.Inst.cacheKey("")
-		if seen[key] {
+		if f, ok := firstFormat[rec.Inst]; ok {
 			reused++
+			// A reuse repeats the bytes: same instance, same format.
+			if rec.Format != f {
+				t.Fatalf("record %d reuses an instance first sent as %s in %s", rec.Seq, f, rec.Format)
+			}
+			continue
 		}
-		seen[key] = true
+		firstFormat[rec.Inst] = rec.Format
 	}
-	// Instance-spec reuse converges toward the hit ratio; allow slack
-	// for the warmup (early arrivals have nothing to reuse). Format
-	// rotation means byte-level reuse is lower still, which is fine: the
-	// ratio targets the server's per-(body,format) content-hash cache.
+	// Instance reuse converges toward the hit ratio; allow slack for the
+	// warmup (early arrivals have nothing to reuse).
 	ratio := float64(reused) / float64(len(tr.Records))
 	if ratio < 0.35 || ratio > 0.75 {
 		t.Fatalf("reuse ratio %.2f not near the configured 0.6", ratio)
@@ -123,13 +125,12 @@ func TestPlanHitRatioReuse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Plan: %v", err)
 	}
-	seen = map[string]bool{}
+	seen := map[InstSpec]bool{}
 	for _, rec := range tr.Records {
-		key := rec.Inst.cacheKey("")
-		if seen[key] {
+		if seen[rec.Inst] {
 			t.Fatal("hit ratio 0 still reused an instance")
 		}
-		seen[key] = true
+		seen[rec.Inst] = true
 	}
 }
 

@@ -4,10 +4,11 @@ package loadgen
 // dispatcher walks the schedule, sleeps until each record's arrival
 // offset, and fires the request in its own goroutine — completions never
 // gate arrivals, so server slowdowns surface as latency instead of
-// silently reducing the offered load. A client-side in-flight cap
-// (MaxInflight, generous by default) exists only to bound sockets and
-// goroutines on a pathologically stuck server; waiting for it counts
-// into the measured latency, exactly like any other queueing delay.
+// silently reducing the offered load. Each request's clock starts at its
+// scheduled instant. A client-side in-flight cap (MaxInflight, generous
+// by default) exists only to bound sockets and goroutines on a
+// pathologically stuck server; waiting for it counts into the measured
+// latency, exactly like any other queueing delay.
 
 import (
 	"bytes"
@@ -40,9 +41,6 @@ type Client struct {
 	MaxInflight int
 	// Label tags job submissions (jobs endpoint only).
 	Label string
-	// ProbeStatz controls the /statz probe taken before and after the
-	// run, whose delta yields the jobs queue-wait/run split.
-	ProbeStatz bool
 }
 
 // DefaultHTTPClient builds the client Run uses when none is supplied:
@@ -70,9 +68,13 @@ type Report struct {
 }
 
 // Run executes the trace open-loop and fills in every record's Outcome.
-// Bodies are materialized (and memoized) before each request's timer
-// starts. The context cancels outstanding requests; a cancelled run
-// still returns its report with the outcomes observed so far.
+// Every distinct body is built before the first dispatch, and each
+// request is timed from its scheduled instant (from its dispatch when
+// Speed is 0), so in-flight-slot waits count into its latency. A
+// best-effort scrape of the server's /metrics before and after the run
+// yields the jobs queue-wait/run split. The context cancels outstanding
+// requests; a cancelled run still returns its report with the outcomes
+// observed so far.
 func (c *Client) Run(ctx context.Context, t *Trace) (*Report, error) {
 	httpc := c.HTTP
 	if httpc == nil {
@@ -87,20 +89,17 @@ func (c *Client) Run(ctx context.Context, t *Trace) (*Report, error) {
 		return nil, fmt.Errorf("loadgen: base URL: %w", err)
 	}
 
-	var before *statzJobs
-	if c.ProbeStatz {
-		before = c.probeStatz(ctx, httpc, base)
-	}
-
-	bodies := newBodyCache()
+	before := probeJobs(ctx, httpc, base)
+	bodies := buildBodies(t)
 	sem := make(chan struct{}, maxInflight)
 	var wg sync.WaitGroup
 	start := time.Now()
 	for i := range t.Records {
 		rec := &t.Records[i]
+		sched := time.Now()
 		if c.Speed > 0 {
-			target := start.Add(time.Duration(float64(rec.AtUS)/c.Speed) * time.Microsecond)
-			if d := time.Until(target); d > 0 {
+			sched = start.Add(time.Duration(float64(rec.AtUS)/c.Speed) * time.Microsecond)
+			if d := time.Until(sched); d > 0 {
 				select {
 				case <-time.After(d):
 				case <-ctx.Done():
@@ -111,21 +110,22 @@ func (c *Client) Run(ctx context.Context, t *Trace) (*Report, error) {
 			rec.Outcome = &Outcome{Err: ctx.Err().Error()}
 			continue
 		}
+		body := bodies[i]
 		wg.Add(1)
-		go func(rec *Record) {
+		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			o := c.do(ctx, httpc, base, bodies, rec)
+			o := c.do(ctx, httpc, base, rec, body, sched)
 			rec.Outcome = &o
-		}(rec)
+		}()
 	}
 	wg.Wait()
 	durationS := time.Since(start).Seconds()
 
 	var split *JobsSplit
-	if c.ProbeStatz && before != nil {
-		if after := c.probeStatz(ctx, httpc, base); after != nil {
+	if before != nil {
+		if after := probeJobs(ctx, httpc, base); after != nil {
 			split = jobsDelta(before, after)
 		}
 	}
@@ -136,11 +136,11 @@ func (c *Client) Run(ctx context.Context, t *Trace) (*Report, error) {
 	}, nil
 }
 
-// do issues one request and parses the minimal outcome fields.
-func (c *Client) do(ctx context.Context, httpc *http.Client, base *url.URL, bodies *bodyCache, rec *Record) Outcome {
-	body, err := bodies.get(rec.Inst, rec.Format)
-	if err != nil {
-		return Outcome{Err: err.Error()}
+// do issues one request and parses the minimal outcome fields; its
+// latency runs from sched to the end of the response read.
+func (c *Client) do(ctx context.Context, httpc *http.Client, base *url.URL, rec *Record, body builtBody, sched time.Time) Outcome {
+	if body.err != nil {
+		return Outcome{Err: body.err.Error()}
 	}
 	u := *base
 	q := url.Values{}
@@ -175,14 +175,13 @@ func (c *Client) do(ctx context.Context, httpc *http.Client, base *url.URL, bodi
 	}
 	u.RawQuery = q.Encode()
 
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u.String(), bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u.String(), bytes.NewReader(body.b))
 	if err != nil {
 		return Outcome{Err: err.Error()}
 	}
-	started := time.Now()
 	resp, err := httpc.Do(req)
 	if err != nil {
-		return Outcome{LatencyUS: time.Since(started).Microseconds(), Err: err.Error()}
+		return Outcome{LatencyUS: time.Since(sched).Microseconds(), Err: err.Error()}
 	}
 	defer resp.Body.Close()
 	// Minimal response schema shared by the three endpoints; unknown
@@ -205,7 +204,7 @@ func (c *Client) do(ctx context.Context, httpc *http.Client, base *url.URL, bodi
 	decodeErr := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&parsed)
 	// Latency covers the full response read: the decode above consumes
 	// the body, which is part of serving the request.
-	latency := time.Since(started).Microseconds()
+	latency := time.Since(sched).Microseconds()
 
 	o := Outcome{
 		Status:    resp.StatusCode,
@@ -236,22 +235,19 @@ func (c *Client) do(ctx context.Context, httpc *http.Client, base *url.URL, bodi
 	return o
 }
 
-// statzJobs is the slice of /statz this package reads: the job
-// subsystem's started/finished counters and wait/run latency sums.
-type statzJobs struct {
-	Jobs struct {
-		Started   uint64  `json:"started"`
-		Finished  uint64  `json:"finished"`
-		WaitSumMS float64 `json:"wait_sum_ms"`
-		RunSumMS  float64 `json:"run_sum_ms"`
-	} `json:"jobs"`
+// jobCounters are the job-subsystem counters the split derives from.
+type jobCounters struct {
+	started, finished float64
+	waitS, runS       float64
 }
 
-// probeStatz reads /statz, returning nil on any failure — the split is
-// an enrichment, never a reason to fail a run.
-func (c *Client) probeStatz(ctx context.Context, httpc *http.Client, base *url.URL) *statzJobs {
+// probeJobs scrapes the server's /metrics for the job counters. It
+// returns nil on any failure, or when the server publishes none (cfgate
+// has no job series): the split is an enrichment, never a reason to fail
+// a run.
+func probeJobs(ctx context.Context, httpc *http.Client, base *url.URL) *jobCounters {
 	u := *base
-	u.Path = "/statz"
+	u.Path = "/metrics"
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u.String(), nil)
 	if err != nil {
 		return nil
@@ -264,26 +260,41 @@ func (c *Client) probeStatz(ctx context.Context, httpc *http.Client, base *url.U
 	if resp.StatusCode != http.StatusOK {
 		return nil
 	}
-	var s statzJobs
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&s); err != nil {
+	e, err := obs.ParseExposition(io.LimitReader(resp.Body, 1<<20))
+	if err != nil {
 		return nil
 	}
-	return &s
+	var j jobCounters
+	for _, f := range []struct {
+		name string
+		dst  *float64
+	}{
+		{"pslocal_jobs_started_total", &j.started},
+		{"pslocal_jobs_finished_total", &j.finished},
+		{"pslocal_jobs_wait_seconds_total", &j.waitS},
+		{"pslocal_jobs_run_seconds_total", &j.runS},
+	} {
+		v, ok := e.Value(f.name)
+		if !ok {
+			return nil
+		}
+		*f.dst = v
+	}
+	return &j
 }
 
-// jobsDelta derives the run's queue-wait/run split from two /statz
-// snapshots.
-func jobsDelta(before, after *statzJobs) *JobsSplit {
-	started := after.Jobs.Started - before.Jobs.Started
-	finished := after.Jobs.Finished - before.Jobs.Finished
+// jobsDelta derives the run's queue-wait/run split from two scrapes.
+func jobsDelta(before, after *jobCounters) *JobsSplit {
+	started := uint64(after.started - before.started)
+	finished := uint64(after.finished - before.finished)
 	if started == 0 && finished == 0 {
 		return nil
 	}
 	s := &JobsSplit{
 		Started:   started,
 		Finished:  finished,
-		WaitSumMS: after.Jobs.WaitSumMS - before.Jobs.WaitSumMS,
-		RunSumMS:  after.Jobs.RunSumMS - before.Jobs.RunSumMS,
+		WaitSumMS: (after.waitS - before.waitS) * 1e3,
+		RunSumMS:  (after.runS - before.runS) * 1e3,
 	}
 	if started > 0 {
 		s.WaitMeanMS = s.WaitSumMS / float64(started)

@@ -14,6 +14,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -59,12 +60,16 @@ func stubServe(t *testing.T) *httptest.Server {
 			mu.Unlock()
 			w.WriteHeader(http.StatusAccepted)
 			fmt.Fprintf(w, `{"job":{"id":%q,"state":"queued"}}`, hexSum)
-		case "/statz":
+		case "/metrics":
 			mu.Lock()
 			s, f := jobsStarted, jobsFinished
 			mu.Unlock()
-			fmt.Fprintf(w, `{"jobs":{"started":%d,"finished":%d,"wait_sum_ms":%d,"run_sum_ms":%d}}`,
-				s, f, s*2, f*5)
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+			fmt.Fprintf(w, "# TYPE pslocal_jobs_finished_total counter\npslocal_jobs_finished_total %d\n"+
+				"# TYPE pslocal_jobs_started_total counter\npslocal_jobs_started_total %d\n"+
+				"# TYPE pslocal_jobs_wait_seconds_total counter\npslocal_jobs_wait_seconds_total %g\n"+
+				"# TYPE pslocal_jobs_run_seconds_total counter\npslocal_jobs_run_seconds_total %g\n",
+				f, s, float64(s)*0.5, float64(f)*1.25)
 		default:
 			http.Error(w, `{"error":"no route"}`, http.StatusNotFound)
 		}
@@ -77,7 +82,7 @@ func stubServe(t *testing.T) *httptest.Server {
 func runOnce(t *testing.T, tr *Trace) *Report {
 	t.Helper()
 	srv := stubServe(t)
-	c := &Client{BaseURL: srv.URL, Speed: 0, ProbeStatz: true,
+	c := &Client{BaseURL: srv.URL, Speed: 0,
 		HTTP: &http.Client{Timeout: 10 * time.Second}}
 	rep, err := c.Run(context.Background(), tr)
 	if err != nil {
@@ -131,11 +136,12 @@ func TestRunFillsOutcomes(t *testing.T) {
 	if rep.Perf.SLO.Eligible != len(tr.Records) || rep.Perf.SLO.Attained == 0 {
 		t.Fatalf("SLO report implausible: %+v", rep.Perf.SLO)
 	}
-	// The jobs class ran, so the statz delta must carry the split.
+	// The jobs class ran, so the delta of the /metrics job counters must
+	// carry the split.
 	if rep.Perf.Jobs == nil || rep.Perf.Jobs.Started == 0 {
 		t.Fatalf("jobs wait/run split missing: %+v", rep.Perf.Jobs)
 	}
-	if rep.Perf.Jobs.WaitMeanMS != 2 || rep.Perf.Jobs.RunMeanMS != 5 {
+	if rep.Perf.Jobs.WaitMeanMS != 500 || rep.Perf.Jobs.RunMeanMS != 1250 {
 		t.Fatalf("split means wrong: %+v", rep.Perf.Jobs)
 	}
 }
@@ -269,6 +275,45 @@ func TestRunPacing(t *testing.T) {
 	}
 	if d := time.Since(started); d > 5*time.Second {
 		t.Fatalf("unpaced run took %v", d)
+	}
+}
+
+// TestRunClockStartsAtScheduledInstant holds the runner to its timing
+// contract: four requests scheduled at one instant through a one-slot
+// in-flight cap against a server holding each for 20ms queue behind one
+// another, and that queueing is part of their latency.
+func TestRunClockStartsAtScheduledInstant(t *testing.T) {
+	const hold = 20 * time.Millisecond
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		time.Sleep(hold)
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprintln(w, `{"instance":{"cache":"miss","key":"k"},"verified":true,"size":1}`)
+	}))
+	t.Cleanup(srv.Close)
+	for _, speed := range []float64{0, 1} {
+		tr := &Trace{Seed: 1}
+		for i := 0; i < 4; i++ {
+			tr.Records = append(tr.Records, Record{Seq: i, AtUS: 0, Class: "c", Endpoint: EndpointMaxIS,
+				Format: "edgelist", Inst: InstSpec{Kind: KindGraph, Gen: "cycle", N: 8, Seed: int64(i + 1)}})
+		}
+		c := &Client{BaseURL: srv.URL, Speed: speed, MaxInflight: 1}
+		if _, err := c.Run(context.Background(), tr); err != nil {
+			t.Fatal(err)
+		}
+		lat := make([]int64, 0, len(tr.Records))
+		for _, rec := range tr.Records {
+			if !rec.Outcome.OK {
+				t.Fatalf("speed %v: record %d failed: %+v", speed, rec.Seq, rec.Outcome)
+			}
+			lat = append(lat, rec.Outcome.LatencyUS)
+		}
+		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+		for k, us := range lat {
+			if want := int64(k+1) * hold.Microseconds(); us < want {
+				t.Errorf("speed %v: request %d of 4 reported %dus, want at least %dus", speed, k+1, us, want)
+			}
+		}
 	}
 }
 

@@ -52,8 +52,8 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.buckets[i].Add(1)
 }
 
-// HistSnapshot is the JSON rendering of one histogram, the shape the
-// /statz latency tracks have always carried.
+// HistSnapshot is the JSON rendering of one histogram: count, mean and
+// upper-bound quantiles in milliseconds.
 type HistSnapshot struct {
 	Count  uint64  `json:"count"`
 	MeanMS float64 `json:"mean_ms"`

@@ -11,8 +11,9 @@
 // registered once at construction time (misuse panics — a duplicate
 // series or a kind clash is a programmer error, not a runtime
 // condition), and afterwards Counter/Gauge/Histogram handles are
-// lock-free on the hot path. /statz JSON and GET /metrics render from
-// the same handles, so the two surfaces can never disagree.
+// lock-free on the hot path. GET /metrics is the one surface a server's
+// numbers are published on; ParseExposition (expo.go) reads it back for
+// every in-repo consumer.
 package obs
 
 import (

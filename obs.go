@@ -34,7 +34,7 @@ type (
 	// MetricsGauge is a set-to-current-value gauge handle.
 	MetricsGauge = obs.Gauge
 	// MetricsHistogram is a fixed log2 latency histogram over
-	// microseconds; its Snapshot is the /statz latency-track shape.
+	// microseconds; GET /metrics renders it as a Prometheus histogram.
 	MetricsHistogram = obs.Histogram
 	// MetricsHistSnapshot is a histogram snapshot (count, mean and
 	// upper-bound quantiles in milliseconds).

@@ -50,14 +50,7 @@ fi
 # and the cold serve path that materialises G_k (SolverReduceColdOracle,
 # run by the SolverReduce pattern above): if allocs/op on a gated
 # benchmark grows vs the recorded trajectory, the merge fails.
-# BENCH_LOAD_PERF can point at a cfload -perf-out report to fold Cfload*
-# load-test results into the same entry (scripts/loadsmoke.sh records its
-# own "<sha>-load" entry instead, so the two paths never collide).
-loadflag=""
-if [ -n "${BENCH_LOAD_PERF:-}" ]; then
-  loadflag="-load $BENCH_LOAD_PERF"
-fi
-# shellcheck disable=SC2086  # quickflag/loadflag are intentionally word-split
-go run ./scripts/benchmerge -out "$out" -sha "$sha" $quickflag $loadflag \
+# shellcheck disable=SC2086  # quickflag is intentionally word-split
+go run ./scripts/benchmerge -out "$out" -sha "$sha" $quickflag \
   -alloc-gate 'SolverCacheHitAllocs|SolverMaxISReaderHot|SpanRecord|ReadGraphEdgeListDense|ReadHypergraphJSONCold|SolverReduceColdOracle' < "$tmp"
 echo "wrote $out"

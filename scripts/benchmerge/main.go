@@ -22,8 +22,6 @@ import (
 	"regexp"
 	"strconv"
 	"time"
-
-	"pslocal/internal/loadgen"
 )
 
 // Result is one parsed benchmark line.
@@ -59,32 +57,20 @@ func main() {
 		quick = flag.Bool("quick", false, "mark the entry as a 1-iteration quick run")
 		gate  = flag.String("alloc-gate", "",
 			"regexp of benchmark names whose allocs_per_op must not grow vs the last recorded entry; a regression fails the merge")
-		load = flag.String("load", "",
-			"cfload perf report (the -perf-out JSON) to fold into the entry as Cfload* results; with -load, bench lines on stdin are optional")
 	)
 	flag.Parse()
-	if err := run(*out, *sha, *unix, *quick, *gate, *load, os.Stdin); err != nil {
+	if err := run(*out, *sha, *unix, *quick, *gate, os.Stdin); err != nil {
 		fmt.Fprintln(os.Stderr, "benchmerge:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out, sha string, unix int64, quick bool, gate, load string, in io.Reader) error {
+func run(out, sha string, unix int64, quick bool, gate string, in io.Reader) error {
 	results, err := parseBench(in)
 	if err != nil {
 		return err
 	}
-	if load != "" {
-		loadResults, err := loadPerfResults(load)
-		if err != nil {
-			return err
-		}
-		results = append(results, loadResults...)
-	}
 	if len(results) == 0 {
-		if load != "" {
-			return errors.New("no benchmark lines on stdin and no results in the -load report")
-		}
 		return errors.New("no benchmark lines on stdin")
 	}
 	if unix == 0 {
@@ -154,58 +140,6 @@ func checkAllocGate(traj *Trajectory, sha string, results []Result, gate string)
 		return errors.New(msg + "fix the regression (or update the trajectory deliberately without -alloc-gate)")
 	}
 	return nil
-}
-
-// loadPerfResults maps a cfload perf report onto trajectory Results so
-// load-test latency rides the same history as the micro-benchmarks.
-// Latency quantiles and the jobs wait/run means become ns_per_op
-// (milliseconds scaled to nanoseconds, one "op" = one request);
-// CfloadThroughput records the mean inter-completion time (1e9 /
-// requests-per-second); CfloadSLOAttainedPct abuses ns_per_op to carry
-// the attainment percentage, which keeps the document schema unchanged.
-func loadPerfResults(path string) ([]Result, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("load report: %w", err)
-	}
-	var p loadgen.Perf
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("load report %s: %w", path, err)
-	}
-	if p.Requests == 0 {
-		return nil, fmt.Errorf("load report %s: no requests", path)
-	}
-	n := int64(p.Requests)
-	msToNs := func(ms float64) float64 { return ms * 1e6 }
-	results := []Result{
-		{Name: "CfloadLatencyP50", Iterations: n, NsPerOp: msToNs(p.Latency.P50MS)},
-		{Name: "CfloadLatencyP95", Iterations: n, NsPerOp: msToNs(p.Latency.P95MS)},
-		{Name: "CfloadLatencyP99", Iterations: n, NsPerOp: msToNs(p.Latency.P99MS)},
-		{Name: "CfloadLatencyMean", Iterations: n, NsPerOp: msToNs(p.Latency.MeanMS)},
-		{Name: "CfloadSLOAttainedPct", Iterations: n, NsPerOp: 100 * p.SLO.Ratio},
-	}
-	if seen := p.CacheHits + p.CacheMisses; seen > 0 {
-		// Cache-hit percentage of responses reporting a disposition,
-		// recomputed from the raw counts so reports predating the ratio
-		// field ingest identically — the cluster-smoke run records it so
-		// affinity routing's advantage over round-robin is visible in the
-		// trajectory.
-		results = append(results, Result{
-			Name:       "CfloadCacheHitPct",
-			Iterations: int64(seen),
-			NsPerOp:    100 * float64(p.CacheHits) / float64(seen),
-		})
-	}
-	if p.ThroughputRPS > 0 {
-		results = append(results,
-			Result{Name: "CfloadThroughput", Iterations: n, NsPerOp: 1e9 / p.ThroughputRPS})
-	}
-	if p.Jobs != nil {
-		results = append(results,
-			Result{Name: "CfloadJobsWaitMean", Iterations: int64(p.Jobs.Started), NsPerOp: msToNs(p.Jobs.WaitMeanMS)},
-			Result{Name: "CfloadJobsRunMean", Iterations: int64(p.Jobs.Finished), NsPerOp: msToNs(p.Jobs.RunMeanMS)})
-	}
-	return results, nil
 }
 
 // benchLine matches `go test -bench` result lines, e.g.

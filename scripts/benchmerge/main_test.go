@@ -43,15 +43,15 @@ func TestParseBench(t *testing.T) {
 
 func TestRunAppendsAndReplacesBySHA(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH.json")
-	if err := run(out, "sha1", 100, false, "", "", strings.NewReader(sample)); err != nil {
+	if err := run(out, "sha1", 100, false, "", strings.NewReader(sample)); err != nil {
 		t.Fatalf("first run: %v", err)
 	}
-	if err := run(out, "sha2", 200, true, "", "", strings.NewReader(sample)); err != nil {
+	if err := run(out, "sha2", 200, true, "", strings.NewReader(sample)); err != nil {
 		t.Fatalf("second run: %v", err)
 	}
 	// Same SHA again with a full run: the quick entry is upgraded in
 	// place, not duplicated.
-	if err := run(out, "sha2", 300, false, "", "", strings.NewReader(sample)); err != nil {
+	if err := run(out, "sha2", 300, false, "", strings.NewReader(sample)); err != nil {
 		t.Fatalf("third run: %v", err)
 	}
 	traj, err := loadTrajectory(out)
@@ -68,7 +68,7 @@ func TestRunAppendsAndReplacesBySHA(t *testing.T) {
 		t.Errorf("full rerun kept %+v, want time 300 quick=false (upgraded)", traj.History[1])
 	}
 	// A quick run must never replace a full measurement for the same SHA.
-	if err := run(out, "sha1", 500, true, "", "", strings.NewReader(sample)); err != nil {
+	if err := run(out, "sha1", 500, true, "", strings.NewReader(sample)); err != nil {
 		t.Fatalf("quick-over-full run: %v", err)
 	}
 	traj, err = loadTrajectory(out)
@@ -88,7 +88,7 @@ func TestLoadTrajectoryMigratesLegacyArray(t *testing.T) {
 	if err := os.WriteFile(out, []byte(legacy), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(out, "new", 400, false, "", "", strings.NewReader(sample)); err != nil {
+	if err := run(out, "new", 400, false, "", strings.NewReader(sample)); err != nil {
 		t.Fatalf("run over legacy: %v", err)
 	}
 	traj, err := loadTrajectory(out)
@@ -114,16 +114,16 @@ func TestAllocGate(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH.json")
 	gate := "SolverCacheHitAllocs"
 	// Baseline entry: zero allocs on the gated benchmark.
-	if err := run(out, "base", 100, false, gate, "", strings.NewReader(allocSample("SolverCacheHitAllocs-8", 0))); err != nil {
+	if err := run(out, "base", 100, false, gate, strings.NewReader(allocSample("SolverCacheHitAllocs-8", 0))); err != nil {
 		t.Fatalf("baseline run: %v", err)
 	}
 	// Equal count passes, and a different GOMAXPROCS suffix still matches
 	// the recorded baseline.
-	if err := run(out, "next", 200, false, gate, "", strings.NewReader(allocSample("SolverCacheHitAllocs-16", 0))); err != nil {
+	if err := run(out, "next", 200, false, gate, strings.NewReader(allocSample("SolverCacheHitAllocs-16", 0))); err != nil {
 		t.Fatalf("equal-alloc run rejected: %v", err)
 	}
 	// A regression fails and leaves the trajectory unwritten.
-	err := run(out, "bad", 300, false, gate, "", strings.NewReader(allocSample("SolverCacheHitAllocs-8", 3)))
+	err := run(out, "bad", 300, false, gate, strings.NewReader(allocSample("SolverCacheHitAllocs-8", 3)))
 	if err == nil || !strings.Contains(err.Error(), "ALLOCATION GATE FAILED") {
 		t.Fatalf("regressed run: err = %v, want gate failure", err)
 	}
@@ -137,14 +137,14 @@ func TestAllocGate(t *testing.T) {
 		}
 	}
 	// Ungated benchmarks regress freely.
-	if err := run(out, "other", 400, false, gate, "", strings.NewReader(allocSample("SomethingElse-8", 999))); err != nil {
+	if err := run(out, "other", 400, false, gate, strings.NewReader(allocSample("SomethingElse-8", 999))); err != nil {
 		t.Fatalf("ungated benchmark tripped the gate: %v", err)
 	}
 	// Re-running the baseline SHA compares against other entries, not the
 	// entry this run replaces — so a same-SHA rerun with more allocs than
 	// its own old entry but within the rest of history still fails here
 	// (history has zero-alloc entries from other SHAs).
-	err = run(out, "base", 500, false, gate, "", strings.NewReader(allocSample("SolverCacheHitAllocs-8", 1)))
+	err = run(out, "base", 500, false, gate, strings.NewReader(allocSample("SolverCacheHitAllocs-8", 1)))
 	if err == nil {
 		t.Error("regression on same-SHA rerun slipped past the gate")
 	}
@@ -152,91 +152,10 @@ func TestAllocGate(t *testing.T) {
 
 func TestRunRejectsEmptyInput(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH.json")
-	if err := run(out, "sha", 1, false, "", "", strings.NewReader("no benchmarks here\n")); err == nil {
+	if err := run(out, "sha", 1, false, "", strings.NewReader("no benchmarks here\n")); err == nil {
 		t.Error("empty benchmark input accepted")
 	}
 	if _, err := os.Stat(out); !os.IsNotExist(err) {
 		t.Error("output written despite empty input")
-	}
-}
-
-// perfSample is a cfload -perf-out document as the runner emits it.
-const perfSample = `{
-  "schema": 1, "requests": 120, "errors": 2, "duration_s": 1.5,
-  "throughput_rps": 80,
-  "latency": {"mean_ms": 4.5, "p50_ms": 3, "p95_ms": 12, "p99_ms": 20, "max_ms": 35},
-  "cache_hits": 50, "cache_misses": 70,
-  "classes": [], "slo": {"attained": 110, "eligible": 118, "ratio": 0.932},
-  "jobs": {"started": 20, "finished": 20, "wait_sum_ms": 40, "run_sum_ms": 100,
-           "wait_mean_ms": 2, "run_mean_ms": 5}
-}`
-
-func TestRunIngestsLoadReport(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "BENCH.json")
-	perf := filepath.Join(dir, "perf.json")
-	if err := os.WriteFile(perf, []byte(perfSample), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Load-only merge: no bench lines on stdin.
-	if err := run(out, "sha-load", 100, true, "", perf, strings.NewReader("")); err != nil {
-		t.Fatalf("load-only merge: %v", err)
-	}
-	traj, err := loadTrajectory(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(traj.History) != 1 {
-		t.Fatalf("history = %+v", traj.History)
-	}
-	got := map[string]Result{}
-	for _, r := range traj.History[0].Results {
-		got[r.Name] = r
-	}
-	if r := got["CfloadLatencyP50"]; r.NsPerOp != 3e6 || r.Iterations != 120 {
-		t.Errorf("CfloadLatencyP50 = %+v, want 3ms over 120 requests", r)
-	}
-	if r := got["CfloadLatencyP99"]; r.NsPerOp != 20e6 {
-		t.Errorf("CfloadLatencyP99 = %+v", r)
-	}
-	if r := got["CfloadThroughput"]; r.NsPerOp != 1e9/80 {
-		t.Errorf("CfloadThroughput = %+v, want 1e9/80", r)
-	}
-	if r := got["CfloadSLOAttainedPct"]; r.NsPerOp < 93.1 || r.NsPerOp > 93.3 {
-		t.Errorf("CfloadSLOAttainedPct = %+v", r)
-	}
-	if r := got["CfloadJobsWaitMean"]; r.NsPerOp != 2e6 || r.Iterations != 20 {
-		t.Errorf("CfloadJobsWaitMean = %+v", r)
-	}
-	if r := got["CfloadJobsRunMean"]; r.NsPerOp != 5e6 {
-		t.Errorf("CfloadJobsRunMean = %+v", r)
-	}
-	if r := got["CfloadCacheHitPct"]; r.Iterations != 120 || r.NsPerOp < 41.6 || r.NsPerOp > 41.7 {
-		t.Errorf("CfloadCacheHitPct = %+v, want 50/120 over 120 dispositions", r)
-	}
-
-	// Bench lines and a load report merge into one entry.
-	if err := run(out, "both", 200, false, "", perf, strings.NewReader(sample)); err != nil {
-		t.Fatalf("combined merge: %v", err)
-	}
-	traj, err = loadTrajectory(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := traj.History[1]
-	if len(e.Results) != 2+9 {
-		t.Fatalf("combined entry has %d results: %+v", len(e.Results), e.Results)
-	}
-
-	// Malformed and empty reports fail without writing.
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte("nope"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(out, "bad", 300, false, "", bad, strings.NewReader("")); err == nil {
-		t.Error("malformed load report accepted")
-	}
-	if err := run(out, "gone", 300, false, "", filepath.Join(dir, "missing.json"), strings.NewReader("")); err == nil {
-		t.Error("missing load report accepted")
 	}
 }

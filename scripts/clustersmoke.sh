@@ -10,15 +10,14 @@
 #      store carries phase-1 jobs over: the fresh fleet adopts them and
 #      serves them by id through the gateway.
 #   3. Drain: fire a paced burst at the affinity gateway and SIGTERM one
-#      backend mid-burst. The gateway must reroute (rerouted > 0 in its
-#      /statz), the killed node must drain and exit 0, and the client
-#      must see zero failed requests.
+#      backend mid-burst. The gateway must reroute (cfgate_rerouted_total
+#      > 0 on its /metrics), the killed node must drain and exit 0, and
+#      the client must see zero failed requests.
 #
-# The affinity perf report lands in the trajectory as "<sha>-cluster"
-# via scripts/benchmerge -load. Usage: scripts/clustersmoke.sh [output.json]
+# Pass/fail only; it writes no benchmark numbers (perfbench is the
+# serving benchmark). Usage: scripts/clustersmoke.sh
 set -eu
 cd "$(dirname "$0")/.."
-out="${1:-BENCH_gk.json}"
 work="$(mktemp -d)"
 pids=""
 cleanup() {
@@ -131,17 +130,10 @@ if ! wait "$pid3"; then
   exit 1
 fi
 jq -e '.failed == 0' "$work/summary_drain.json" >/dev/null
-curl -fsS "http://$gate/statz" > "$work/gatestatz.json"
-jq -e '.rerouted > 0' "$work/gatestatz.json" >/dev/null
-jq -e '.policy == "affinity"' "$work/gatestatz.json" >/dev/null
+curl -fsS "http://$gate/metrics" > "$work/gatemetrics.txt"
+awk '$1 == "cfgate_rerouted_total" && $2 > 0 { ok = 1 } END { exit !ok }' "$work/gatemetrics.txt"
+awk '$1 == "cfgate_policy_info{policy=\"affinity\"}" && $2 == 1 { ok = 1 } END { exit !ok }' \
+  "$work/gatemetrics.txt"
 # The gateway is still ready on the surviving nodes.
 curl -fsS "http://$gate/readyz" >/dev/null
-
-sha="$(git rev-parse HEAD 2>/dev/null || echo unknown)"
-if ! git diff-index --quiet HEAD -- 2>/dev/null; then
-  sha="${sha}-dirty"
-fi
-go run ./scripts/benchmerge -out "$out" -sha "${sha}-cluster" -quick \
-  -load "$work/perf_aff.json" < /dev/null
-grep -q CfloadCacheHitPct "$out"
-echo "cluster smoke passed; trajectory entry ${sha}-cluster written to $out"
+echo "cluster smoke passed"
