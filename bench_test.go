@@ -218,7 +218,7 @@ func BenchmarkReduceImplicitEndToEnd(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sv := pslocal.NewSolver(pslocal.WithK(3), pslocal.WithMode(pslocal.ModeImplicitFirstFit))
+	sv := pslocal.NewSolver(pslocal.WithK(3))
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -4,18 +4,18 @@
 //
 // Usage examples:
 //
-//	cfreduce -gen planted -n 60 -m 24 -k 3 -mode exact
-//	cfreduce -gen interval -n 80 -m 40 -mode implicit -print-coloring
-//	cfreduce -in instance.hg -k 2 -mode greedy-mindeg -seed 7 -workers 0
+//	cfreduce -gen planted -n 60 -m 24 -k 3 -oracle exact
+//	cfreduce -gen interval -n 80 -m 40 -print-coloring
+//	cfreduce -in instance.hg -k 2 -oracle greedy-mindeg -seed 7 -workers 0
 //	cfreduce -in instance.json -out result.json
 //	cfreduce -oracle portfolio:greedy-mindeg,greedy-random,clique-removal -workers 0
 //
-// Besides the built-in modes `exact` and `implicit`, -mode accepts any
-// oracle name of the maxis registry (see -mode help), including
-// portfolio:<a>,<b>,... names that race several oracles per phase;
-// -oracle is the explicit registry spelling and overrides -mode.
-// -workers sets the worker pool of portfolio solving (0 = GOMAXPROCS,
-// 1 = serial); conflict-graph construction is serial.
+// -oracle names the strategy, as pslocal.WithOracle does: the built-ins
+// `implicit` (the default) and `exact`, any oracle name of the maxis
+// registry, or a portfolio:<a>,<b>,... name that races several oracles
+// per phase; -oracle help lists them. -workers sets the worker pool of
+// portfolio solving (0 = GOMAXPROCS, 1 = serial); conflict-graph
+// construction is serial.
 //
 // The command is a thin shell over a pslocal.Solver: the flags become
 // solver options, the solve runs under a signal context, so Ctrl-C
@@ -57,18 +57,16 @@ func main() {
 
 func run() error {
 	var (
-		genName  = flag.String("gen", "planted", "instance generator: planted | uniform | interval | star")
-		inFile   = flag.String("in", "", "read hypergraph from file instead of generating (edge-list/DIMACS/JSON, sniffed)")
-		outFile  = flag.String("out", "", "write the reduction result as JSON to this file (\"-\" = stdout)")
-		n        = flag.Int("n", 60, "vertices")
-		m        = flag.Int("m", 24, "hyperedges")
-		k        = flag.Int("k", 3, "palette size per phase")
-		sizeLo   = flag.Int("size-lo", 3, "minimum edge size (planted/uniform)")
-		sizeHi   = flag.Int("size-hi", 5, "maximum edge size (planted/interval)")
-		modeName = flag.String("mode", "implicit",
-			"solving mode: exact | implicit | a registry oracle name | help to list")
-		oracleName = flag.String("oracle", "",
-			"registry oracle name, incl. portfolio:<a>,<b>,... (overrides -mode)")
+		genName = flag.String("gen", "planted", "instance generator: planted | uniform | interval | star")
+		inFile  = flag.String("in", "", "read hypergraph from file instead of generating (edge-list/DIMACS/JSON, sniffed)")
+		outFile = flag.String("out", "", "write the reduction result as JSON to this file (\"-\" = stdout)")
+		n       = flag.Int("n", 60, "vertices")
+		m       = flag.Int("m", 24, "hyperedges")
+		k       = flag.Int("k", 3, "palette size per phase")
+		sizeLo  = flag.Int("size-lo", 3, "minimum edge size (planted/uniform)")
+		sizeHi  = flag.Int("size-hi", 5, "maximum edge size (planted/interval)")
+		oracle  = flag.String("oracle", "implicit",
+			"strategy: implicit | exact | a registry oracle name | portfolio:<a>,<b>,... | help to list")
 		seed     = flag.Int64("seed", 1, "random seed (instance generation and randomized oracles)")
 		workers  = flag.Int("workers", 1, "portfolio workers (0 = GOMAXPROCS)")
 		printCol = flag.Bool("print-coloring", false, "dump the multicolouring")
@@ -76,23 +74,16 @@ func run() error {
 	)
 	flag.Parse()
 
-	mode := *modeName
-	if *oracleName != "" {
-		mode = *oracleName
-	}
-	if mode == "help" {
-		modes := []string{"exact", "implicit"}
+	if *oracle == "help" {
+		names := []string{"implicit", "exact"}
 		for _, name := range pslocal.OracleNames() {
-			if name != "exact" { // the built-in exact mode already covers it (with the clique hint)
-				modes = append(modes, name)
+			if name != "exact" { // the built-in exact strategy already covers it (with the clique hint)
+				names = append(names, name)
 			}
 		}
-		modes = append(modes, "portfolio:<a>,<b>,...")
-		fmt.Printf("modes: %s\n", strings.Join(modes, ", "))
+		names = append(names, "portfolio:<a>,<b>,...")
+		fmt.Printf("strategies: %s\n", strings.Join(names, ", "))
 		return nil
-	}
-	if name, ok := legacyModes[mode]; ok {
-		mode = name
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -114,7 +105,7 @@ func run() error {
 		pslocal.WithK(*k),
 		pslocal.WithSeed(*seed),
 		pslocal.WithWorkers(*workers),
-		pslocal.WithOracle(mode),
+		pslocal.WithOracle(*oracle),
 	)
 	fmt.Printf("instance: %v\n", h)
 	res, err := sv.Solve(ctx, h)
@@ -190,11 +181,4 @@ func makeInstance(inFile, gen string, n, m, k, sizeLo, sizeHi int, rng *rand.Ran
 	default:
 		return nil, fmt.Errorf("unknown generator %q", gen)
 	}
-}
-
-// legacyModes maps the pre-registry flag spellings to registry names.
-var legacyModes = map[string]string{
-	"greedy":    "greedy-mindeg",
-	"random":    "greedy-random",
-	"cliquerem": "clique-removal",
 }

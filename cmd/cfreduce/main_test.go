@@ -57,8 +57,8 @@ func TestMakeInstanceFromFile(t *testing.T) {
 	}
 }
 
-// TestModeSpellings checks that every documented -mode spelling — the
-// built-ins, the legacy aliases, and a portfolio name — resolves through
+// TestModeSpellings checks that every documented -oracle spelling — the
+// built-ins, a registry name, and a portfolio name — resolves through
 // the Solver and reduces a small instance, and that an unknown spelling
 // surfaces the typed error.
 func TestModeSpellings(t *testing.T) {
@@ -67,21 +67,17 @@ func TestModeSpellings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []string{
-		"exact", "implicit", "greedy", "random", "cliquerem",
+	for _, name := range []string{
+		"exact", "implicit", "greedy-mindeg",
 		"portfolio:greedy-mindeg,greedy-random",
 	} {
-		name := mode
-		if legacy, ok := legacyModes[mode]; ok {
-			name = legacy
-		}
 		sv := pslocal.NewSolver(pslocal.WithK(2), pslocal.WithOracle(name))
 		res, err := sv.Solve(context.Background(), h)
 		if err != nil {
-			t.Fatalf("%s: %v", mode, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if res.K != 2 || len(res.Phases) == 0 {
-			t.Errorf("%s: degenerate result %+v", mode, res)
+			t.Errorf("%s: degenerate result %+v", name, res)
 		}
 	}
 	sv := pslocal.NewSolver(pslocal.WithOracle("nope"))

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -23,8 +24,8 @@ import (
 )
 
 // drainGateOracle signals each Solve entry and parks until released,
-// then delegates to a real oracle — unlike blockOracle it lets the held
-// job finish cleanly, which is what a drain test needs.
+// then delegates to a real oracle — unlike blockingJobOracle it lets the
+// held job finish cleanly, which is what a drain test needs.
 type drainGateOracle struct {
 	mu      sync.Mutex
 	eng     engine.Options
@@ -70,20 +71,14 @@ func (o *drainGateOracle) Solve(g *graph.Graph) ([]int32, error) {
 	}
 }
 
-var drainGate = struct {
-	once   sync.Once
-	oracle *drainGateOracle
-}{}
-
-// sharedDrainGate registers the gate oracle once (the registry is global
-// and permanent) and resets its release channel per call site.
-func sharedDrainGate(t *testing.T) *drainGateOracle {
+// registerDrainGate installs a fresh gate oracle under a unique name,
+// so every run of a test gets an unreleased gate.
+func registerDrainGate(t *testing.T) (*drainGateOracle, string) {
 	t.Helper()
-	drainGate.once.Do(func() {
-		drainGate.oracle = newDrainGateOracle(t)
-		maxis.MustRegister("test-gate-drain", func(int64) maxis.Oracle { return drainGate.oracle })
-	})
-	return drainGate.oracle
+	o := newDrainGateOracle(t)
+	name := fmt.Sprintf("test-gate-drain-%d", jobOracleSeq.Add(1))
+	maxis.MustRegister(name, func(int64) maxis.Oracle { return o })
+	return o, name
 }
 
 // getJSON GETs url and decodes the body, returning the status.
@@ -178,14 +173,14 @@ func TestReadyzDrainzLifecycle(t *testing.T) {
 // draining, then server.Drain — which must block until the held job
 // finishes and persists, while refusing new submissions.
 func TestDrainFinishesRunningJob(t *testing.T) {
-	oracle := sharedDrainGate(t)
+	oracle, name := registerDrainGate(t)
 	s, ts := newTestServer(t)
 	body := quickstartBody(t)
 
 	var submitted struct {
 		Job pslocal.JobInfo `json:"job"`
 	}
-	resp := postInstance(t, ts.URL+"/v1/jobs?oracle=test-gate-drain", body, &submitted)
+	resp := postInstance(t, ts.URL+"/v1/jobs?oracle="+name, body, &submitted)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("job submit: status %d", resp.StatusCode)
 	}
@@ -207,7 +202,7 @@ func TestDrainFinishesRunningJob(t *testing.T) {
 		t.Fatalf("Drain returned %v while a job was still running", err)
 	case <-time.After(50 * time.Millisecond):
 	}
-	refused, err := http.Post(ts.URL+"/v1/jobs?oracle=test-gate-drain", "application/octet-stream", bytes.NewReader(body))
+	refused, err := http.Post(ts.URL+"/v1/jobs?oracle="+name, "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

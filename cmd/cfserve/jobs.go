@@ -10,7 +10,6 @@ package main
 // max_retries and label.
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,6 +18,7 @@ import (
 	"time"
 
 	"pslocal"
+	"pslocal/internal/graphio"
 )
 
 // jobResponse is the envelope of every job endpoint: the snapshot, the
@@ -28,7 +28,8 @@ type jobResponse struct {
 	Job    pslocal.JobInfo `json:"job"`
 	WaitMS float64         `json:"wait_ms"`
 	RunMS  float64         `json:"run_ms"`
-	Result json.RawMessage `json:"result,omitempty"`
+	// Result is nil, and omitted, until the job is done.
+	Result *graphio.ResultDoc `json:"result,omitempty"`
 }
 
 // jobEnvelope assembles the response shape from a snapshot.
@@ -133,12 +134,7 @@ func (s *server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 			s.failJob(w, err)
 			return
 		}
-		var doc bytes.Buffer
-		if err := pslocal.WriteResult(&doc, res); err != nil {
-			s.fail(w, http.StatusInternalServerError, err)
-			return
-		}
-		resp.Result = json.RawMessage(doc.Bytes())
+		resp.Result = graphio.NewResultDoc(res)
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }

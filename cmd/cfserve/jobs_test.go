@@ -73,6 +73,17 @@ func submitJob(t *testing.T, url string, body []byte) (jobResponse, int) {
 	return resp, httpResp.StatusCode
 }
 
+// readResultDoc encodes an embedded result document and parses it back
+// through graphio.ReadResult, the reader of cfreduce -out files.
+func readResultDoc(t *testing.T, doc *graphio.ResultDoc) (*pslocal.ReduceResult, error) {
+	t.Helper()
+	b, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return graphio.ReadResult(bytes.NewReader(b))
+}
+
 // pollJob GETs the job until it reaches a terminal state.
 func pollJob(t *testing.T, baseURL, id string) jobResponse {
 	t.Helper()
@@ -126,10 +137,10 @@ func TestJobSubmitPollResult(t *testing.T) {
 	if final.Job.N != 16 || final.Job.M != 8 || final.Job.TotalColors == 0 {
 		t.Errorf("job summary = %+v", final.Job)
 	}
-	if len(final.Result) == 0 {
+	if final.Result == nil {
 		t.Fatal("done job response carries no result document")
 	}
-	res, err := graphio.ReadResult(bytes.NewReader(final.Result))
+	res, err := readResultDoc(t, final.Result)
 	if err != nil {
 		t.Fatalf("embedded result does not parse: %v", err)
 	}
@@ -176,7 +187,7 @@ func TestJobSurvivesRestart(t *testing.T) {
 	if got.Job.State != pslocal.JobDone || !got.Job.Recovered {
 		t.Fatalf("job after restart = %+v, want recovered done", got.Job)
 	}
-	res, err := graphio.ReadResult(bytes.NewReader(got.Result))
+	res, err := readResultDoc(t, got.Result)
 	if err != nil {
 		t.Fatalf("recovered result does not parse: %v", err)
 	}
@@ -219,8 +230,9 @@ func TestJobCancelRunning(t *testing.T) {
 	if final.Job.State != pslocal.JobCancelled {
 		t.Fatalf("cancelled job = %+v", final.Job)
 	}
-	if len(final.Result) != 0 {
-		t.Error("cancelled job carries a result document")
+	// Only a done job embeds its document; the others omit the key.
+	if _, raw := fetch(t, http.MethodGet, ts.URL+"/v1/jobs/"+sub.Job.ID, nil); bytes.Contains(raw, []byte(`"result"`)) {
+		t.Errorf("cancelled job carries a result document: %s", raw)
 	}
 }
 

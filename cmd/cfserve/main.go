@@ -33,9 +33,12 @@
 // With -jobs-dir set, jobs persist their results there as graphio result
 // documents named by the job's content hash; on restart the directory is
 // rescanned, so completed jobs survive reboots and identical
-// resubmissions dedupe onto the stored result. The store assumes a
-// single writer: give every cfserve instance its own directory. Without
-// -jobs-dir, jobs live in memory only.
+// resubmissions dedupe onto the stored result. Several cfserve nodes may
+// share one directory: every file lands by atomic rename, and a node
+// adopts the terminal jobs other nodes wrote. When two nodes run the
+// same job id, the last metadata write wins, so a later failed run can
+// hide an earlier done one on rescan. Without -jobs-dir, jobs live in
+// memory only.
 //
 // Quick start (the same instance ships in testdata/quickstart.json and is
 // smoke-tested by CI):
@@ -90,7 +93,7 @@ func run() error {
 		maxBodyMB    = flag.Int64("max-body-mb", 64, "request body cap in MiB")
 		seed         = flag.Int64("seed", 1, "default oracle seed when the request has none")
 		jobsDir      = flag.String("jobs-dir", "",
-			"persistent job store directory, rescanned on restart (empty = in-memory only; each instance needs its own directory)")
+			"persistent job store directory, rescanned on restart (empty = in-memory only; nodes may share one and adopt each other's terminal jobs)")
 		jobWorkers = flag.Int("job-workers", 0, "job worker pool width (0 = GOMAXPROCS)")
 		jobQueue   = flag.Int("job-queue", 1024, "job queue capacity across priority lanes")
 		pprofAddr  = flag.String("pprof", "",

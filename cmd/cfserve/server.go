@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"pslocal"
+	"pslocal/internal/graphio"
 )
 
 // encodeBuf is one pooled response encoder: a reusable buffer with a
@@ -299,12 +300,12 @@ func describe(inst *pslocal.InstanceInfo) instanceInfo {
 // graphio reduction-result document, so CLI -out files and service
 // responses share one schema.
 type reduceResponse struct {
-	Instance  instanceInfo    `json:"instance"`
-	Oracle    string          `json:"oracle"`
-	Workers   int             `json:"workers"`
-	Verified  bool            `json:"verified"`
-	ElapsedMS float64         `json:"elapsed_ms"`
-	Result    json.RawMessage `json:"result"`
+	Instance  instanceInfo       `json:"instance"`
+	Oracle    string             `json:"oracle"`
+	Workers   int                `json:"workers"`
+	Verified  bool               `json:"verified"`
+	ElapsedMS float64            `json:"elapsed_ms"`
+	Result    *graphio.ResultDoc `json:"result"`
 	// Trace is the per-phase span tree, embedded when the request asked
 	// for it with ?trace=1.
 	Trace *pslocal.TraceSnapshot `json:"trace,omitempty"`
@@ -377,21 +378,11 @@ func (s *server) handleReduce(w http.ResponseWriter, r *http.Request) {
 		s.failSolve(w, err)
 		return
 	}
+	// VerifyReduction checks the multicolouring is conflict-free before
+	// it checks the phase bookkeeping.
 	verified := false
 	if hg := inst.Hypergraph(); hg != nil {
-		verified = pslocal.VerifyReduction(hg, res) == nil &&
-			pslocal.VerifyConflictFreeMulti(hg, res.Multicoloring) == nil
-	}
-
-	// The result document lands in a pooled buffer too; the RawMessage
-	// below aliases it, so it is released only after writeJSON has
-	// serialised the response (the deferred release runs last).
-	docBuf := grabEncodeBuf()
-	defer releaseEncodeBuf(docBuf)
-	if err := pslocal.WriteResult(&docBuf.buf, res); err != nil {
-		s.finishTrace(tr)
-		s.fail(w, http.StatusInternalServerError, err)
-		return
+		verified = pslocal.VerifyReduction(hg, res) == nil
 	}
 	snap := s.finishTrace(tr)
 	elapsed := time.Since(started)
@@ -404,7 +395,7 @@ func (s *server) handleReduce(w http.ResponseWriter, r *http.Request) {
 		Workers:   workers,
 		Verified:  verified,
 		ElapsedMS: msSince(started),
-		Result:    json.RawMessage(docBuf.buf.Bytes()),
+		Result:    graphio.NewResultDoc(res),
 	}
 	if wantTrace(q.Get("trace")) {
 		resp.Trace = snap

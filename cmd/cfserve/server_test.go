@@ -9,15 +9,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"pslocal"
-	"pslocal/internal/engine"
 	"pslocal/internal/graph"
 	"pslocal/internal/graphio"
-	"pslocal/internal/maxis"
 	"pslocal/internal/obs"
 )
 
@@ -242,49 +239,16 @@ func TestMaxISCarvingReportsLocality(t *testing.T) {
 	}
 }
 
-// blockOracle blocks Solve until the engine context is cancelled, letting
-// the cancellation test hold a reduction mid-phase deterministically.
-type blockOracle struct {
-	mu      sync.Mutex
-	eng     engine.Options
-	started chan struct{}
-}
-
-func (o *blockOracle) Name() string { return "test-block" }
-
-func (o *blockOracle) SetEngine(e engine.Options) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.eng = e
-}
-
-func (o *blockOracle) Solve(*graph.Graph) ([]int32, error) {
-	o.mu.Lock()
-	ctx := o.eng.Context()
-	o.mu.Unlock()
-	select {
-	case o.started <- struct{}{}:
-	default:
-	}
-	<-ctx.Done()
-	return nil, ctx.Err()
-}
-
-var registerBlockOracle sync.Once
-
 // TestCancellationMidReduction aborts a request while its phase solve is
 // running and checks the server records the abandonment instead of
 // counting a success or failure.
 func TestCancellationMidReduction(t *testing.T) {
 	s, ts := newTestServer(t)
-	oracle := &blockOracle{started: make(chan struct{}, 1)}
-	registerBlockOracle.Do(func() {
-		maxis.MustRegister("test-block", func(int64) maxis.Oracle { return oracle })
-	})
+	oracle, name := registerBlockingJobOracle(t)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		ts.URL+"/v1/reduce?oracle=test-block&workers=2", bytes.NewReader(quickstartBody(t)))
+		ts.URL+"/v1/reduce?oracle="+name+"&workers=2", bytes.NewReader(quickstartBody(t)))
 	if err != nil {
 		t.Fatal(err)
 	}

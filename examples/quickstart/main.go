@@ -34,8 +34,8 @@ func run() error {
 
 	// A Solver is configured once and carries its strategy through every
 	// call; WithOracle takes the same names the -oracle CLI flags and
-	// cfserve query parameters accept, and WithPortfolio races several
-	// registry oracles per phase on the worker pool.
+	// cfserve query parameters accept, and a "portfolio:" name races
+	// several registry oracles per phase on the worker pool.
 	ctx := context.Background()
 	configs := []struct {
 		name   string
@@ -45,7 +45,7 @@ func run() error {
 		{"implicit first-fit", pslocal.NewSolver(pslocal.WithK(3))},
 		{"min-degree greedy", pslocal.NewSolver(pslocal.WithK(3), pslocal.WithOracle("greedy-mindeg"))},
 		{"oracle portfolio", pslocal.NewSolver(pslocal.WithK(3), pslocal.WithWorkers(0),
-			pslocal.WithPortfolio("greedy-mindeg", "greedy-random", "clique-removal"))},
+			pslocal.WithOracle("portfolio:greedy-mindeg,greedy-random,clique-removal"))},
 	}
 	for _, cfg := range configs {
 		res, err := cfg.solver.Solve(ctx, h)

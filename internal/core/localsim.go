@@ -9,8 +9,8 @@ package core
 // rounds of H. VirtualLubyTriples runs Luby's randomized MIS over this
 // virtual graph, reading each triple's neighbours from conflict.go's
 // rowWriter: the rows Build stores, written per hyperedge and dropped
-// after use. ReduceLocalRandomized chains it into the fully distributed
-// (randomized) version of the Theorem 1.1 pipeline.
+// after use. ReduceLocalRandomized runs it as the phase step of Reduce's
+// loop: the fully distributed (randomized) Theorem 1.1 pipeline.
 
 import (
 	"context"
@@ -19,8 +19,9 @@ import (
 	"math/rand"
 	"slices"
 
-	"pslocal/internal/cfcolor"
+	"pslocal/internal/engine"
 	"pslocal/internal/hypergraph"
+	"pslocal/internal/obs"
 )
 
 // ErrTooManyPhases reports a Luby run that did not converge within the
@@ -144,16 +145,10 @@ func bitsLen(n int) int {
 	return l
 }
 
-// LocalResult is the outcome of the distributed randomized reduction.
+// LocalResult is the outcome of the distributed randomized reduction:
+// the reduction's Result plus its LOCAL-round accounting.
 type LocalResult struct {
-	// Multicoloring is the conflict-free multicolouring of the input.
-	Multicoloring cfcolor.Multicoloring
-	// Phases records the usual per-phase statistics.
-	Phases []PhaseStat
-	// TotalColors is K times the number of phases.
-	TotalColors int
-	// K echoes the palette size.
-	K int
+	Result
 	// VirtualRounds sums the G_k rounds over all phases.
 	VirtualRounds int
 	// HostRounds sums the simulated H-incidence rounds over all phases.
@@ -161,76 +156,33 @@ type LocalResult struct {
 }
 
 // ReduceLocalRandomized is the fully distributed (LOCAL-model,
-// randomized) variant of the Theorem 1.1 pipeline: each phase computes a
-// maximal independent set of the implicit conflict graph with Luby's
-// algorithm simulated on H. An MIS of G_k is an independent set, so
-// Lemma 2.1(b) applies and every phase removes at least one edge; unlike
-// the SLOCAL λ-oracle pipeline this randomized variant carries no
-// polylog-phase guarantee (the paper's point: a LOCAL MIS is *not* known
-// to give a MaxIS approximation), and the phase count is an empirical
-// observation the experiments record.
+// randomized) variant of the Theorem 1.1 pipeline: Reduce's phase loop
+// with each phase's independent set computed as a maximal independent
+// set of the implicit conflict graph by Luby's algorithm simulated on H
+// (phase i runs VirtualLubyTriples with seed seed+i). An MIS of G_k is an
+// independent set, so Lemma 2.1(b) applies and every phase removes at
+// least one edge; unlike the SLOCAL λ-oracle pipeline this randomized
+// variant carries no polylog-phase guarantee (the paper's point: a LOCAL
+// MIS is *not* known to give a MaxIS approximation), and the phase count
+// is an empirical observation the experiments record.
 // A non-nil ctx cancels cooperatively between phases.
 func ReduceLocalRandomized(ctx context.Context, h *hypergraph.Hypergraph, k int, seed int64) (*LocalResult, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("%w: %d", ErrBadK, k)
 	}
-	res := &LocalResult{
-		Multicoloring: cfcolor.NewMulticoloring(h.N()),
-		K:             k,
-	}
-	cur := h
-	maxPhases := 4*h.M() + 16
-	for phase := 1; cur.M() > 0; phase++ {
-		if phase > maxPhases {
-			return nil, fmt.Errorf("%w: %d phases", ErrPhaseBudget, maxPhases)
-		}
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("core: local phase %d: %w", phase, err)
-			}
-		}
-		ix, err := NewIndex(cur, k)
-		if err != nil {
-			return nil, err
-		}
+	var virtual, host int
+	opts := Options{K: k, Engine: engine.Options{Ctx: ctx}}
+	res, err := reduce(h, opts, func(ix *Index, phase int, _ obs.Span) ([]Triple, int, error) {
 		triples, stats, err := VirtualLubyTriples(ix, seed+int64(phase), 0)
 		if err != nil {
-			return nil, fmt.Errorf("core: local phase %d: %w", phase, err)
+			return nil, 0, err
 		}
-		res.VirtualRounds += stats.VirtualRounds
-		res.HostRounds += stats.HostRounds
-		f, err := ISToColoring(ix, triples)
-		if err != nil {
-			return nil, fmt.Errorf("core: local phase %d: %w", phase, err)
-		}
-		unhappy := cfcolor.UnhappyEdges(cur, f)
-		removed := cur.M() - len(unhappy)
-		if removed < len(triples) {
-			return nil, fmt.Errorf("core: local phase %d removed %d < |I| = %d, violating Lemma 2.1(b)",
-				phase, removed, len(triples))
-		}
-		if removed == 0 {
-			return nil, fmt.Errorf("%w: local phase %d", ErrNoProgress, phase)
-		}
-		offset := int32((phase - 1) * k)
-		for v := int32(0); int(v) < cur.N(); v++ {
-			if f[v] != cfcolor.Uncolored {
-				res.Multicoloring.Add(v, f[v]+offset)
-			}
-		}
-		res.Phases = append(res.Phases, PhaseStat{
-			Phase:         phase,
-			EdgesBefore:   cur.M(),
-			ConflictNodes: ix.NumNodes(),
-			ConflictEdges: -1,
-			ISSize:        len(triples),
-			HappyRemoved:  removed,
-		})
-		cur, err = cur.KeepEdges(unhappy)
-		if err != nil {
-			return nil, fmt.Errorf("core: local phase %d residual: %w", phase, err)
-		}
+		virtual += stats.VirtualRounds
+		host += stats.HostRounds
+		return triples, -1, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	res.TotalColors = k * len(res.Phases)
-	return res, nil
+	return &LocalResult{Result: *res, VirtualRounds: virtual, HostRounds: host}, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"slices"
@@ -201,6 +202,50 @@ func TestReduceLocalRandomized(t *testing.T) {
 		}
 		if edges != 0 {
 			t.Errorf("trial %d: %d edges left", trial, edges)
+		}
+	}
+}
+
+// TestReduceLocalRandomizedGoldens pins the whole pipeline, not only one
+// Luby run: the per-phase seeds seed+i, the phase statistics, the summed
+// virtual rounds and the multicolouring (an FNV-64a hash of its %v
+// rendering).
+// The values were recorded from the pipeline's own phase loop before it
+// moved onto Reduce's.
+func TestReduceLocalRandomizedGoldens(t *testing.T) {
+	planted, _, err := hypergraph.PlantedCF(15, 30, 2, 3, 5, rand.New(rand.NewSource(21)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, _, err := hypergraph.PlantedCF(200, 150, 3, 2, 4, rand.New(rand.NewSource(22)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []struct {
+		h             *hypergraph.Hypergraph
+		k             int
+		seed          int64
+		virtual       int
+		phases        string // (edges before, G_k nodes, |I|, removed) per phase
+		multicoloring uint64
+	}{
+		{planted, 2, 1, 16, "(30,236,20,20)(10,76,10,10)", 0xfdbed2ae4e8f237c},
+		{planted, 3, 7, 12, "(30,354,26,26)(4,39,4,4)", 0x645f18b8cee202fc},
+		{big, 3, 5, 10, "(150,1344,147,147)(3,21,3,3)", 0xc96e6dcaeb607368},
+	} {
+		res, err := ReduceLocalRandomized(nil, g.h, g.k, g.seed)
+		if err != nil {
+			t.Fatalf("k=%d seed=%d: %v", g.k, g.seed, err)
+		}
+		var phases strings.Builder
+		for _, p := range res.Phases {
+			fmt.Fprintf(&phases, "(%d,%d,%d,%d)", p.EdgesBefore, p.ConflictNodes, p.ISSize, p.HappyRemoved)
+		}
+		hash := fnv.New64a()
+		fmt.Fprint(hash, res.Multicoloring)
+		if phases.String() != g.phases || res.VirtualRounds != g.virtual || hash.Sum64() != g.multicoloring {
+			t.Errorf("k=%d seed=%d: phases %s, %d virtual rounds, multicolouring %#x; want %s, %d, %#x",
+				g.k, g.seed, phases.String(), res.VirtualRounds, hash.Sum64(), g.phases, g.virtual, g.multicoloring)
 		}
 	}
 }

@@ -41,7 +41,7 @@ var (
 	// ErrNoProgress reports a phase that made no edge happy, which a
 	// correct oracle can only cause on an empty conflict graph.
 	ErrNoProgress = errors.New("core: reduction phase made no progress")
-	// ErrPhaseBudget reports more phases than MaxPhases.
+	// ErrPhaseBudget reports more than 4·m + 16 phases on m edges.
 	ErrPhaseBudget = errors.New("core: phase budget exhausted")
 )
 
@@ -67,8 +67,6 @@ type Options struct {
 	Mode Mode
 	// Oracle is the λ-approximate MaxIS oracle for ModeOracle.
 	Oracle maxis.Oracle
-	// MaxPhases bounds the loop defensively; 0 means 4·m + 16.
-	MaxPhases int
 	// Engine configures cancellation of the phase loop and of each G_k
 	// build, which is serial at every width; the zero value is the serial
 	// path. A non-zero Engine is forwarded to Oracle when the oracle
@@ -157,11 +155,23 @@ func Reduce(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (*Resul
 	if es, ok := opts.Oracle.(maxis.EngineSetter); ok && opts.Engine != (engine.Options{}) {
 		es.SetEngine(opts.Engine)
 	}
-	maxPhases := opts.MaxPhases
-	if maxPhases <= 0 {
-		maxPhases = 4*h.M() + 16
-	}
+	ff := ffScratchPool.Get().(*FirstFitScratch) // shared across phases (implicit mode)
+	defer ffScratchPool.Put(ff)
+	return reduce(h, opts, func(ix *Index, _ int, sp obs.Span) ([]Triple, int, error) {
+		return solvePhase(ix, opts, ff, sp)
+	})
+}
 
+// reduce is the phase loop of Theorem 1.1 shared by every strategy: build
+// the index of the residual hypergraph, take an independent set of
+// triples from step, colour it with a fresh palette block, check Lemma
+// 2.1(b), and keep the unhappy edges. step also returns the edge count of
+// G_k when it built the graph (-1 otherwise); its child spans attach
+// under sp. opts.Engine.Ctx cancels between phases; the loop stops after
+// 4·m + 16 phases.
+func reduce(h *hypergraph.Hypergraph, opts Options,
+	step func(ix *Index, phase int, sp obs.Span) ([]Triple, int, error)) (*Result, error) {
+	maxPhases := 4*h.M() + 16
 	res := &Result{
 		Multicoloring: cfcolor.NewMulticoloring(h.N()),
 		K:             opts.K,
@@ -172,8 +182,6 @@ func Reduce(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (*Resul
 		colored = make([]bool, h.N())
 	}
 	cur := h
-	ff := ffScratchPool.Get().(*FirstFitScratch) // shared across phases (implicit mode)
-	defer ffScratchPool.Put(ff)
 	// Phase spans land under the request trace when one rides the context;
 	// a nil trace makes every span call a no-op.
 	tr := obs.TraceFrom(opts.Engine.Ctx)
@@ -192,19 +200,18 @@ func Reduce(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (*Resul
 			sp.End()
 			return nil, err
 		}
-		stat := PhaseStat{
-			Phase:         phase,
-			EdgesBefore:   cur.M(),
-			ConflictNodes: ix.NumNodes(),
-			ConflictEdges: -1,
-		}
-		triples, conflictEdges, err := solvePhase(ix, opts, ff, sp)
+		triples, conflictEdges, err := step(ix, phase, sp)
 		if err != nil {
 			sp.End()
 			return nil, fmt.Errorf("core: phase %d: %w", phase, err)
 		}
-		stat.ConflictEdges = conflictEdges
-		stat.ISSize = len(triples)
+		stat := PhaseStat{
+			Phase:         phase,
+			EdgesBefore:   cur.M(),
+			ConflictNodes: ix.NumNodes(),
+			ConflictEdges: conflictEdges,
+			ISSize:        len(triples),
+		}
 		if res.Weighted {
 			for _, t := range triples {
 				stat.ISWeight += cur.Weight(t.Vertex)

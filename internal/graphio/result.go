@@ -20,10 +20,11 @@ import (
 	"pslocal/internal/core"
 )
 
-// resultDoc is the JSON shape of a core.Result. The weight fields appear
-// only on weighted reductions, so unweighted documents are byte-identical
-// to the pre-weights schema.
-type resultDoc struct {
+// ResultDoc is the JSON document of a core.Result: the one value
+// WriteResult encodes, which cmd/cfserve embeds in its responses as is.
+// The weight fields appear only on weighted reductions, so unweighted
+// documents are byte-identical to the pre-weights schema.
+type ResultDoc struct {
 	Type          string     `json:"type"`
 	K             int        `json:"k"`
 	TotalColors   int        `json:"total_colors"`
@@ -48,9 +49,9 @@ type phaseDoc struct {
 // loudly instead of decoding as an instance.
 const resultDocType = "reduction-result"
 
-// WriteResult writes res as an indented JSON document.
-func WriteResult(w io.Writer, res *core.Result) error {
-	doc := resultDoc{
+// NewResultDoc builds res's document. It shares res's multicolouring.
+func NewResultDoc(res *core.Result) *ResultDoc {
+	doc := &ResultDoc{
 		Type:          resultDocType,
 		K:             res.K,
 		TotalColors:   res.TotalColors,
@@ -70,9 +71,14 @@ func WriteResult(w io.Writer, res *core.Result) error {
 			HappyRemoved:  p.HappyRemoved,
 		}
 	}
+	return doc
+}
+
+// WriteResult writes res as an indented JSON document.
+func WriteResult(w io.Writer, res *core.Result) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
+	if err := enc.Encode(NewResultDoc(res)); err != nil {
 		return fmt.Errorf("graphio: writing result: %w", err)
 	}
 	return nil
@@ -88,7 +94,7 @@ func WriteResultFile(path string, res *core.Result) error {
 // ReadResult parses a reduction-result document written by WriteResult.
 func ReadResult(r io.Reader) (*core.Result, error) {
 	dec := json.NewDecoder(r)
-	var doc resultDoc
+	var doc ResultDoc
 	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}

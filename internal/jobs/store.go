@@ -52,9 +52,10 @@ type jobDoc struct {
 	Info
 }
 
-// store owns the directory. Methods are safe for concurrent use as long
-// as no two writers target the same id, which the manager guarantees (a
-// job is persisted once, at its terminal transition).
+// store owns the directory. Methods are safe for concurrent use: one
+// manager persists a job once, at its terminal transition, and when
+// managers sharing the directory both run an id, each rename is atomic
+// and the last one wins.
 type store struct{ dir string }
 
 // newStore creates dir (and parents) and returns the store.

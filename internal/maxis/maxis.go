@@ -66,23 +66,22 @@ func OracleSolve(ctx context.Context, o Oracle, g *graph.Graph) ([]int32, error)
 }
 
 // IsIndependentSet reports whether nodes is an independent set of g
-// (pairwise non-adjacent, in range, duplicate-free).
+// (pairwise non-adjacent, in range, duplicate-free). It marks the set in
+// a []bool, checking range and repeats as it goes, then walks each
+// member's neighbours: O(n + Σ deg(nodes)).
 func IsIndependentSet(g *graph.Graph, nodes []int32) bool {
-	seen := make(map[int32]bool, len(nodes))
+	in := make([]bool, g.N())
 	for _, v := range nodes {
-		if v < 0 || int(v) >= g.N() || seen[v] {
+		if v < 0 || int(v) >= g.N() || in[v] {
 			return false
 		}
-		seen[v] = true
+		in[v] = true
 	}
 	for _, v := range nodes {
 		bad := false
 		g.ForEachNeighbor(v, func(u int32) bool {
-			if seen[u] {
-				bad = true
-				return false
-			}
-			return true
+			bad = in[u]
+			return !bad
 		})
 		if bad {
 			return false

@@ -1,10 +1,10 @@
 package obs
 
-// hist_test.go pins the histogram's edge cases: empty snapshots,
-// sub-microsecond samples landing in bucket 0, negative durations
-// clamping instead of wrapping into the top bucket, the saturating top
-// bucket, the upper-bound quantile semantics, and concurrent
-// observe/snapshot safety under -race.
+// hist_test.go pins the histogram's edge cases on what the renderer
+// reads (expo): an empty histogram, sub-microsecond samples landing in
+// bucket 0, negative durations clamping instead of wrapping into the top
+// bucket, the saturating top bucket, the log2 bucket bounds, and
+// concurrent observe/read safety under -race.
 
 import (
 	"math"
@@ -16,10 +16,6 @@ import (
 
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
-	snap := h.Snapshot()
-	if snap != (HistSnapshot{}) {
-		t.Fatalf("empty histogram snapshot not zero: %+v", snap)
-	}
 	counts, total, sumUS := h.expo()
 	if total != 0 || sumUS != 0 {
 		t.Fatalf("empty expo: total %d sum %d", total, sumUS)
@@ -35,13 +31,9 @@ func TestHistogramSubMicrosecondBucketZero(t *testing.T) {
 	var h Histogram
 	h.Observe(0)
 	h.Observe(500 * time.Nanosecond) // truncates to 0 µs
-	snap := h.Snapshot()
-	if snap.Count != 2 || snap.P50MS != 0 || snap.P99MS != 0 || snap.MaxMS != 0 || snap.MeanMS != 0 {
-		t.Fatalf("sub-microsecond samples mishandled: %+v", snap)
-	}
-	counts, total, _ := h.expo()
-	if total != 2 || counts[0] != 2 {
-		t.Fatalf("sub-microsecond samples landed outside bucket 0: total %d, bucket0 %d", total, counts[0])
+	counts, total, sumUS := h.expo()
+	if total != 2 || counts[0] != 2 || sumUS != 0 {
+		t.Fatalf("sub-microsecond samples landed outside bucket 0: total %d, bucket0 %d, sum %d", total, counts[0], sumUS)
 	}
 }
 
@@ -65,46 +57,36 @@ func TestHistogramTopBucketSaturates(t *testing.T) {
 	huge := time.Duration(math.MaxInt64)
 	h.Observe(huge)
 	want := bits.Len64(uint64(huge.Microseconds()))
-	counts, total, _ := h.expo()
+	counts, total, sumUS := h.expo()
 	if total != 1 || counts[want] != 1 {
 		t.Fatalf("huge duration missed bucket %d: total %d counts[%d]=%d", want, total, want, counts[want])
 	}
-	snap := h.Snapshot()
-	if snap.Count != 1 || snap.MaxMS <= 0 {
-		t.Fatalf("saturated snapshot implausible: %+v", snap)
+	if sumUS != uint64(huge.Microseconds()) {
+		t.Fatalf("sum = %d µs, want %d", sumUS, huge.Microseconds())
 	}
 }
 
 func TestHistogramQuantileUpperBounds(t *testing.T) {
 	var h Histogram
-	// 90 samples at ~1ms, 10 at ~100ms: p50 reports the 1ms bucket's
-	// upper bound, p99 the 100ms bucket's, max is exact.
+	// 90 samples at 1ms, 10 at 100ms: each lands in the log2 bucket whose
+	// upper bound the renderer writes as its le.
 	for i := 0; i < 90; i++ {
 		h.Observe(time.Millisecond)
 	}
 	for i := 0; i < 10; i++ {
 		h.Observe(100 * time.Millisecond)
 	}
-	snap := h.Snapshot()
-	if snap.Count != 100 {
-		t.Fatalf("count = %d", snap.Count)
-	}
-	if snap.MaxMS != 100 {
-		t.Fatalf("max = %v, want 100", snap.MaxMS)
+	counts, total, sumUS := h.expo()
+	if total != 100 || sumUS != 90*1000+10*100000 {
+		t.Fatalf("total %d sum %d µs, want 100 and 1090000", total, sumUS)
 	}
 	// 1000 µs lands in bucket 10 ([512, 1024)), upper bound 1023 µs.
-	if snap.P50MS != float64(bucketUpperUS(10))/1000 {
-		t.Fatalf("p50 = %vms, want the 1ms bucket's upper bound", snap.P50MS)
+	if counts[10] != 90 || bucketUpperUS(10) != 1023 {
+		t.Fatalf("bucket 10 holds %d (bound %d µs), want the 90 1ms samples under 1023 µs", counts[10], bucketUpperUS(10))
 	}
 	// 100000 µs lands in bucket 17 ([65536, 131072)), upper bound 131071 µs.
-	if snap.P99MS != float64(bucketUpperUS(17))/1000 {
-		t.Fatalf("p99 = %vms, want the 100ms bucket's upper bound", snap.P99MS)
-	}
-	if snap.MeanMS < 10 || snap.MeanMS > 12 {
-		t.Fatalf("mean = %vms, want ~10.9", snap.MeanMS)
-	}
-	if snap.P50MS > snap.P95MS || snap.P95MS > snap.P99MS {
-		t.Fatalf("quantiles not monotone: %+v", snap)
+	if counts[17] != 10 || bucketUpperUS(17) != 131071 {
+		t.Fatalf("bucket 17 holds %d (bound %d µs), want the 10 100ms samples under 131071 µs", counts[17], bucketUpperUS(17))
 	}
 }
 
@@ -117,19 +99,21 @@ func TestHistogramConcurrentObserveSnapshot(t *testing.T) {
 	stop := make(chan struct{})
 	var reader sync.WaitGroup
 	reader.Add(1)
-	go func() { // concurrent reader: -race plus the snapshot invariants
+	go func() { // concurrent reader: -race plus a monotone sample total
 		defer reader.Done()
+		var last uint64
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			snap := h.Snapshot()
-			if snap.P50MS > snap.P95MS || snap.P95MS > snap.P99MS {
-				t.Error("torn snapshot: non-monotone quantiles")
+			_, total, _ := h.expo()
+			if total < last {
+				t.Errorf("torn read: total fell from %d to %d", last, total)
 				return
 			}
+			last = total
 		}
 	}()
 	var wg sync.WaitGroup
@@ -145,8 +129,14 @@ func TestHistogramConcurrentObserveSnapshot(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	reader.Wait()
-	snap := h.Snapshot()
-	if snap.Count != writers*perG {
-		t.Fatalf("count = %d, want %d", snap.Count, writers*perG)
+	_, total, sumUS := h.expo()
+	var wantSum uint64
+	for g := 0; g < writers; g++ {
+		for i := 0; i < perG; i++ {
+			wantSum += uint64(g * i)
+		}
+	}
+	if total != writers*perG || sumUS != wantSum {
+		t.Fatalf("total %d sum %d, want %d and %d", total, sumUS, writers*perG, wantSum)
 	}
 }

@@ -277,9 +277,9 @@ func writeSample(w io.Writer, name, labels, extra, value string) error {
 
 // writeHistogram renders one histogram series: cumulative _bucket lines
 // with le in seconds (the log2 bucket upper bounds, trimmed past the
-// highest occupied bucket), then _sum and _count. The bucket total, not
-// the racy sample counter, feeds _count so the cumulative invariant
-// holds under concurrent observes.
+// highest occupied bucket), then _sum and _count. The bucket total
+// feeds _count, so the cumulative invariant holds under concurrent
+// observes.
 func writeHistogram(w io.Writer, name, labels string, h *Histogram) error {
 	counts, total, sumUS := h.expo()
 	hi := 0

@@ -75,20 +75,13 @@ type config struct {
 	// workers follows the shared -workers CLI convention: 0 selects
 	// GOMAXPROCS, any other value is the literal pool width (1 = serial).
 	workers int
-	// oracleName selects the per-phase MaxIS strategy by registry name;
-	// the spellings "exact" and "implicit" select the built-in
-	// ModeExactHinted / ModeImplicitFirstFit reduction modes. Empty defers
-	// to mode.
+	// oracleName selects the reduction strategy (see WithOracle); MaxIS
+	// reads it as a registry name, "" meaning greedy-mindeg.
 	oracleName string
-	// mode is the explicit built-in reduction mode; 0 means
-	// ModeImplicitFirstFit (the scalable default).
-	mode core.Mode
 	// k is the per-phase palette size of Solve.
 	k int
 	// seed feeds randomized oracles; deterministic oracles ignore it.
 	seed int64
-	// maxPhases bounds the reduction loop; 0 keeps the core default.
-	maxPhases int
 	// carving switches MaxIS onto the SLOCAL ball-carving
 	// (1+δ)-approximation instead of a registry oracle.
 	carving bool
@@ -116,29 +109,14 @@ type Option func(*config)
 // Conflict-graph construction is serial at every width.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
-// WithOracle selects the per-phase MaxIS strategy by name: "implicit"
-// (first-fit on the implicit conflict graph), "exact" (the hinted exact
-// solver, λ = 1), any registered oracle name, or a
-// "portfolio:<a>,<b>,..." composite. Resolution happens per call, so an
-// unknown name surfaces from Solve/MaxIS as maxis.ErrUnknownOracle.
+// WithOracle names the strategy; it is the only strategy selector. Solve
+// takes "implicit" (the default; first-fit on the implicit conflict
+// graph), "exact" (the hinted exact solver, λ = 1), any registered oracle
+// name, or a "portfolio:<a>,<b>,..." composite racing registered oracles
+// per phase. MaxIS resolves the name in the registry, "" meaning
+// greedy-mindeg. Resolution happens per call, so an unknown name
+// surfaces from Solve/MaxIS as maxis.ErrUnknownOracle.
 func WithOracle(name string) Option { return func(c *config) { c.oracleName = name } }
-
-// WithPortfolio selects a portfolio racing the named registry oracles
-// per phase; it is shorthand for WithOracle("portfolio:<a>,<b>,...").
-func WithPortfolio(members ...string) Option {
-	name := "portfolio:"
-	for i, m := range members {
-		if i > 0 {
-			name += ","
-		}
-		name += m
-	}
-	return func(c *config) { c.oracleName = name }
-}
-
-// WithMode selects a built-in reduction mode explicitly; WithOracle wins
-// when both are set.
-func WithMode(m core.Mode) Option { return func(c *config) { c.mode = m } }
 
 // WithK sets the per-phase palette size of Solve (default 3).
 func WithK(k int) Option { return func(c *config) { c.k = k } }
@@ -146,10 +124,6 @@ func WithK(k int) Option { return func(c *config) { c.k = k } }
 // WithSeed seeds randomized oracles (default 1); deterministic oracles
 // ignore it.
 func WithSeed(seed int64) Option { return func(c *config) { c.seed = seed } }
-
-// WithMaxPhases bounds the reduction loop defensively; 0 keeps the core
-// default of 4·m + 16.
-func WithMaxPhases(n int) Option { return func(c *config) { c.maxPhases = n } }
 
 // WithCarving switches MaxIS onto the SLOCAL ball-carving
 // (1+δ)-approximation (the containment direction of Theorem 1.1); delta
@@ -274,20 +248,15 @@ func (s *Solver) engineOpts(ctx context.Context) engine.Options {
 	return eng
 }
 
-// reduceOptions resolves the configured strategy into core options,
-// instantiating the oracle fresh per call so concurrent Solves never
-// share oracle state.
+// reduceOptions resolves the configured strategy into core options:
+// "" and "implicit" select implicit first-fit, "exact" the hinted exact
+// solver, and any other name a registry oracle, instantiated fresh per
+// call so concurrent Solves never share oracle state.
 func (s *Solver) reduceOptions(ctx context.Context) (core.Options, error) {
-	opts := core.Options{K: s.cfg.k, MaxPhases: s.cfg.maxPhases, Engine: s.engineOpts(ctx)}
+	opts := core.Options{K: s.cfg.k, Engine: s.engineOpts(ctx), OracleName: s.cfg.oracleName}
 	switch s.cfg.oracleName {
-	case "":
-		if s.cfg.mode != 0 {
-			opts.Mode = s.cfg.mode
-		} else {
-			opts.Mode = core.ModeImplicitFirstFit
-		}
-	case "implicit":
-		opts.Mode = core.ModeImplicitFirstFit
+	case "", "implicit":
+		opts.Mode, opts.OracleName = core.ModeImplicitFirstFit, "implicit"
 	case "exact":
 		opts.Mode = core.ModeExactHinted
 	default:
@@ -295,16 +264,7 @@ func (s *Solver) reduceOptions(ctx context.Context) (core.Options, error) {
 		if err != nil {
 			return opts, err
 		}
-		opts.Mode = core.ModeOracle
-		opts.Oracle = oracle
-		opts.OracleName = s.cfg.oracleName
-	}
-	if opts.OracleName == "" {
-		if opts.Mode == core.ModeExactHinted {
-			opts.OracleName = "exact"
-		} else {
-			opts.OracleName = "implicit"
-		}
+		opts.Mode, opts.Oracle = core.ModeOracle, oracle
 	}
 	return opts, nil
 }

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"pslocal/internal/core"
 	"pslocal/internal/engine"
 	"pslocal/internal/graph"
 	"pslocal/internal/graphio"
@@ -46,11 +45,10 @@ func TestSolveModes(t *testing.T) {
 		opts []Option
 	}{
 		{"default implicit", nil},
-		{"explicit mode", []Option{WithMode(core.ModeExactHinted)}},
 		{"oracle exact spelling", []Option{WithOracle("exact")}},
 		{"oracle implicit spelling", []Option{WithOracle("implicit")}},
 		{"registry oracle", []Option{WithOracle("greedy-mindeg")}},
-		{"portfolio", []Option{WithPortfolio("greedy-mindeg", "greedy-random"), WithWorkers(0)}},
+		{"portfolio", []Option{WithOracle("portfolio:greedy-mindeg,greedy-random"), WithWorkers(0)}},
 	} {
 		sv := New(append([]Option{WithK(2)}, tc.opts...)...)
 		res, err := sv.Solve(context.Background(), h)
@@ -108,7 +106,7 @@ func TestParallelSolveSharedSolver(t *testing.T) {
 	h, body := testInstance(t, 2)
 	sv := New(
 		WithK(2),
-		WithPortfolio("greedy-mindeg", "greedy-random", "clique-removal"),
+		WithOracle("portfolio:greedy-mindeg,greedy-random,clique-removal"),
 		WithWorkers(0),
 		WithCache(8),
 		WithMaxInflight(4),

@@ -11,6 +11,7 @@ import (
 	"pslocal/internal/core"
 	"pslocal/internal/graph"
 	"pslocal/internal/hypergraph"
+	"pslocal/internal/maxis"
 )
 
 func TestIndependentSet(t *testing.T) {
@@ -65,7 +66,8 @@ func independentSetRef(g *graph.Graph, nodes []int32) error {
 
 // TestIndependentSetMatchesEdgeWalk pins the reported violation: on random
 // graphs and unsorted node lists, some out of range or repeated, some
-// independent, IndependentSet gives the edge walk's verdict and text.
+// independent, IndependentSet gives the edge walk's verdict and text,
+// and maxis.IsIndependentSet its verdict.
 func TestIndependentSetMatchesEdgeWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 1000; trial++ {
@@ -99,6 +101,9 @@ func TestIndependentSetMatchesEdgeWalk(t *testing.T) {
 		got, want := IndependentSet(g, nodes), independentSetRef(g, nodes)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("IndependentSet(%v, %v) = %v, edge walk %v", g, nodes, got, want)
+		}
+		if ok := maxis.IsIndependentSet(g, nodes); ok != (want == nil) {
+			t.Fatalf("maxis.IsIndependentSet(%v, %v) = %t, edge walk %v", g, nodes, ok, want)
 		}
 	}
 }

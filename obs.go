@@ -36,9 +36,6 @@ type (
 	// MetricsHistogram is a fixed log2 latency histogram over
 	// microseconds; GET /metrics renders it as a Prometheus histogram.
 	MetricsHistogram = obs.Histogram
-	// MetricsHistSnapshot is a histogram snapshot (count, mean and
-	// upper-bound quantiles in milliseconds).
-	MetricsHistSnapshot = obs.HistSnapshot
 	// MetricsLabel is one metric label pair.
 	MetricsLabel = obs.Label
 

@@ -232,30 +232,19 @@ type (
 	ReduceResult = core.Result
 	// PhaseStat records one reduction phase.
 	PhaseStat = core.PhaseStat
-	// ReduceMode selects the per-phase MaxIS strategy.
-	ReduceMode = core.Mode
-)
-
-// Reduction modes.
-const (
-	// ModeOracle materialises G_k and runs the selected oracle on it.
-	ModeOracle = core.ModeOracle
-	// ModeExactHinted solves each phase exactly (λ = 1).
-	ModeExactHinted = core.ModeExactHinted
-	// ModeImplicitFirstFit greedily solves the implicit G_k (scalable).
-	ModeImplicitFirstFit = core.ModeImplicitFirstFit
 )
 
 // PhaseBound returns the paper's ρ = λ·ln(m)+1 phase bound.
 func PhaseBound(lambda float64, m int) int { return core.PhaseBound(lambda, m) }
 
 // LocalReduceResult is the outcome of the distributed randomized
-// pipeline, with LOCAL-round accounting.
+// pipeline: a ReduceResult plus LOCAL-round accounting.
 type LocalReduceResult = core.LocalResult
 
 // ReduceLocalRandomized runs the fully distributed (LOCAL model,
-// randomized) reduction: Luby's MIS over the implicit conflict graph,
-// simulated on H's incidence structure, phase by phase.
+// randomized) reduction: the Solver's phase loop, with each phase's set
+// taken from Luby's MIS over the implicit conflict graph, simulated on
+// H's incidence structure.
 func ReduceLocalRandomized(h *Hypergraph, k int, seed int64) (*LocalReduceResult, error) {
 	return core.ReduceLocalRandomized(nil, h, k, seed)
 }

@@ -1,6 +1,9 @@
 #!/bin/sh
 # End-to-end cluster smoke: three cfserve nodes sharing one job store
-# behind a cfgate gateway. Three phases:
+# behind a cfgate gateway. A shared -jobs-dir is supported: every file
+# lands by atomic rename, and a node adopts the terminal jobs other nodes
+# wrote; when two nodes run the same job id, the last metadata write
+# wins. Three phases:
 #
 #   1. Control: record a cfload burst through a round-robin gateway on a
 #      fresh fleet and capture its cache-hit ratio.

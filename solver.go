@@ -47,28 +47,18 @@ func NewSolver(opts ...SolverOption) *Solver { return solver.New(opts...) }
 // serial). Conflict-graph construction is serial at every width.
 func WithWorkers(n int) SolverOption { return solver.WithWorkers(n) }
 
-// WithOracle selects the per-phase MaxIS strategy by name: "implicit",
-// "exact", any registered oracle name, or "portfolio:<a>,<b>,...".
-// Unknown names surface from Solve/MaxIS as ErrUnknownOracle.
+// WithOracle names the strategy, the only strategy selector: "implicit"
+// (the default), "exact", any registered oracle name, or
+// "portfolio:<a>,<b>,..." racing registered oracles per phase; MaxIS
+// resolves the name in the registry ("" = greedy-mindeg). Unknown names
+// surface from Solve/MaxIS as ErrUnknownOracle.
 func WithOracle(name string) SolverOption { return solver.WithOracle(name) }
-
-// WithPortfolio selects a portfolio racing the named registry oracles
-// per phase.
-func WithPortfolio(members ...string) SolverOption { return solver.WithPortfolio(members...) }
-
-// WithMode selects a built-in reduction mode explicitly; WithOracle wins
-// when both are set.
-func WithMode(m ReduceMode) SolverOption { return solver.WithMode(m) }
 
 // WithK sets the per-phase palette size of Solve (default 3).
 func WithK(k int) SolverOption { return solver.WithK(k) }
 
 // WithSeed seeds randomized oracles (default 1).
 func WithSeed(seed int64) SolverOption { return solver.WithSeed(seed) }
-
-// WithMaxPhases bounds the reduction loop defensively; 0 keeps the
-// default of 4·m + 16.
-func WithMaxPhases(n int) SolverOption { return solver.WithMaxPhases(n) }
 
 // WithCarving switches Solver.MaxIS onto the SLOCAL ball-carving
 // (1+δ)-approximation; delta is the growth slack, 0 selecting 1.0.
