@@ -233,6 +233,30 @@ func BenchmarkReduceImplicitEndToEnd(b *testing.B) {
 	}
 }
 
+// BenchmarkReduceMultiPhase times a reduction that runs past phase 1:
+// greedy-firstfit at k = 2 on PlantedCF(350, 700, 2, 2, 4) takes 2–3
+// phases, so it times the residual path (NewIndex, UnhappyEdges,
+// KeepEdges and the later G_k builds) that the serving workloads almost
+// never reach.
+func BenchmarkReduceMultiPhase(b *testing.B) {
+	h, _, err := pslocal.PlantedCF(350, 700, 2, 2, 4, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sv := pslocal.NewSolver(pslocal.WithK(2), pslocal.WithOracle("greedy-firstfit"))
+	ctx := context.Background()
+	b.ReportAllocs()
+	for b.Loop() {
+		res, err := sv.Solve(ctx, h)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Phases) < 2 {
+			b.Fatalf("%d phase(s), want a multi-phase reduction", len(res.Phases))
+		}
+	}
+}
+
 // benchPortfolio races the full greedy suite on a large materialised
 // conflict graph, the per-phase workload of the oracle execution layer.
 func benchPortfolio(b *testing.B, opts engine.Options) {
@@ -378,7 +402,9 @@ func BenchmarkSolverReduceColdOracle(b *testing.B) {
 
 // BenchmarkSolverReduceCacheHit measures the hot-instance path: the same
 // body resubmitted to one shared Solver skips parsing and CSR
-// construction, so the delta against the cold benchmark is the cache win.
+// construction, and the answer store returns the stored result without
+// reducing again, so the delta against the cold benchmark is the cache
+// win.
 func BenchmarkSolverReduceCacheHit(b *testing.B) {
 	body := benchSolverBody(b)
 	ctx := context.Background()

@@ -122,7 +122,7 @@ func run() error {
 
 	var report verify.Report
 	report.Add("multicolouring conflict-free", verify.ConflictFreeMulti(h, res.Multicoloring))
-	report.Add("phase bookkeeping", verify.ReductionResult(h, res))
+	report.Add("phase bookkeeping", verify.ReductionBookkeeping(h, res))
 	fmt.Print(report.String())
 	if !report.OK() {
 		return report.Err()

@@ -26,7 +26,9 @@
 //	GET    /v1/traces       recent solve traces newest-first, ?limit=N (ring sized by -trace-ring)
 //
 // Observability: ?trace=1 on the solve endpoints embeds the per-phase
-// span tree in the response; every response echoes (or mints) an
+// span tree in the response (a request answered from the answer store
+// shows an answer span marked hit and no phase); every response echoes
+// (or mints) an
 // X-Pslocal-Request-Id correlation id, also stamped on traces and job
 // metadata; requests at or above -slow-ms log a structured warning.
 //
@@ -51,8 +53,14 @@
 // queue at the admission gate, honouring per-request cancellation), and
 // each request's worker fan-out is capped by -max-workers. Parsed
 // instances are cached by content hash (-cache-entries), so repeated
-// submissions of a hot graph skip parsing and CSR construction. Behind
-// cfgate the same hash routes an instance to the node that caches it.
+// submissions of a hot graph skip parsing and CSR construction, and each
+// entry keeps up to four answers keyed by exactly the inputs the
+// strategy receives, so a repeated (instance, strategy) request is not
+// solved again; it is still verified and rendered, so "verified" keeps
+// its meaning. pslocal_answer_hits_total and pslocal_answer_misses_total
+// count both kinds, and a memory-only job answered from the store keeps
+// the shared result rather than a copy. Behind cfgate the same hash
+// routes an instance to the node that caches it.
 //
 // Shutdown: SIGTERM (or POST /drainz) drains gracefully — /readyz flips
 // to 503 so the gateway stops routing here (when /readyz is being

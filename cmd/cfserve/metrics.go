@@ -5,7 +5,9 @@ package main
 // server publishes its numbers. Request counters and the latency-track
 // histograms are typed handles the handlers hit directly; limits, cache,
 // admission and job-lifecycle series read through func-backed
-// gauges/counters at scrape time.
+// gauges/counters at scrape time. pslocal_answer_{hits,misses}_total
+// split the solves (synchronous and job runs alike) into those answered
+// from the answer store and those that ran their strategy.
 //
 // The latency tracks: reduce, maxis and jobs_submit time whole
 // successful requests, and every solve sample additionally lands in
@@ -75,6 +77,10 @@ func newServerMetrics(sv *pslocal.Solver, jm *pslocal.JobManager, maxWorkers int
 		func() float64 { return float64(sv.CacheStats().Evictions) })
 	reg.GaugeFunc("pslocal_cache_entries", "Instance cache resident entries.",
 		func() float64 { return float64(sv.CacheStats().Entries) })
+	reg.CounterFunc("pslocal_answer_hits_total", "Solves answered from the instance cache's answer store without solving.",
+		func() float64 { return float64(sv.CacheStats().AnswerHits) })
+	reg.CounterFunc("pslocal_answer_misses_total", "Solves that missed the answer store and ran their strategy.",
+		func() float64 { return float64(sv.CacheStats().AnswerMisses) })
 
 	jobCounter := func(name, help string, read func(pslocal.JobStats) uint64) {
 		reg.CounterFunc(name, help, func() float64 { return float64(read(jm.Stats())) })

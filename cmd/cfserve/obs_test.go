@@ -68,18 +68,11 @@ func sumTopLevel(spans []pslocal.TraceSpanSnapshot) int64 {
 func TestTraceEmbedding(t *testing.T) {
 	_, ts := newTestServer(t)
 	body := quickstartBody(t)
+	const url = "/v1/reduce?k=2&oracle=greedy-mindeg"
 
-	// Without ?trace=1 the response carries no trace.
-	var plain reduceResponse
-	if resp := postInstance(t, ts.URL+"/v1/reduce?k=2&oracle=greedy-mindeg", body, &plain); resp.StatusCode != http.StatusOK {
-		t.Fatalf("reduce status %d", resp.StatusCode)
-	}
-	if plain.Trace != nil {
-		t.Fatal("trace embedded without ?trace=1")
-	}
-
+	// The first request solves, so its trace carries the phase spans.
 	var traced reduceResponse
-	if resp := postInstance(t, ts.URL+"/v1/reduce?k=2&oracle=greedy-mindeg&trace=1", body, &traced); resp.StatusCode != http.StatusOK {
+	if resp := postInstance(t, ts.URL+url+"&trace=1", body, &traced); resp.StatusCode != http.StatusOK {
 		t.Fatalf("traced reduce status %d", resp.StatusCode)
 	}
 	tr := traced.Trace
@@ -120,6 +113,43 @@ func TestTraceEmbedding(t *testing.T) {
 	}
 	if len(child) != 2 || child[0] != "csr_build" || child[1] != "oracle_solve" {
 		t.Errorf("phase children = %v, want [csr_build oracle_solve]", child)
+	}
+
+	// Without ?trace=1 the response carries no trace.
+	var plain reduceResponse
+	if resp := postInstance(t, ts.URL+url, body, &plain); resp.StatusCode != http.StatusOK {
+		t.Fatalf("reduce status %d", resp.StatusCode)
+	}
+	if plain.Trace != nil {
+		t.Fatal("trace embedded without ?trace=1")
+	}
+
+	// A resend is answered from the answer store: one answer span marked
+	// hit, and no phase ran.
+	var again reduceResponse
+	if resp := postInstance(t, ts.URL+url+"&trace=1", body, &again); resp.StatusCode != http.StatusOK {
+		t.Fatalf("second traced reduce status %d", resp.StatusCode)
+	}
+	if again.Trace == nil {
+		t.Fatal("second ?trace=1 response carries no trace")
+	}
+	answers := 0
+	for _, sp := range again.Trace.Spans {
+		switch sp.Name {
+		case "answer":
+			answers++
+			if sp.Detail != "hit" {
+				t.Errorf("answer span detail = %q, want hit", sp.Detail)
+			}
+		case "phase":
+			t.Errorf("answered request ran phase %d", sp.Phase)
+		}
+	}
+	if answers != 1 {
+		t.Errorf("%d answer spans, want 1", answers)
+	}
+	if !again.Verified {
+		t.Error("stored answer not verified")
 	}
 }
 

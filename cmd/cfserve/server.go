@@ -34,6 +34,7 @@ import (
 
 	"pslocal"
 	"pslocal/internal/graphio"
+	"pslocal/internal/obs"
 )
 
 // encodeBuf is one pooled response encoder: a reusable buffer with a
@@ -363,10 +364,10 @@ func (s *server) handleReduce(w http.ResponseWriter, r *http.Request) {
 		pslocal.WithOracle(oracleName),
 	)
 	started := time.Now()
-	// Every solve runs under a pooled trace: the snapshot lands in the
+	// Every solve runs under a leased trace: the snapshot lands in the
 	// /v1/traces ring whether the solve succeeds or fails, and ?trace=1
 	// embeds it in the response.
-	tr := grabTrace("reduce", r.Header.Get(pslocal.RequestIDHeader))
+	tr := obs.LeaseTrace("reduce", r.Header.Get(pslocal.RequestIDHeader))
 	ctx := pslocal.ContextWithTrace(r.Context(), tr)
 	// Admission (the shared gate) happens inside SolveReader before the
 	// body is even read: parsing and CSR construction are exactly the
@@ -491,7 +492,7 @@ func (s *server) handleMaxIS(w http.ResponseWriter, r *http.Request) {
 
 	sv := s.solver.With(opts...)
 	started := time.Now()
-	tr := grabTrace("maxis", r.Header.Get(pslocal.RequestIDHeader))
+	tr := obs.LeaseTrace("maxis", r.Header.Get(pslocal.RequestIDHeader))
 	ctx := pslocal.ContextWithTrace(r.Context(), tr)
 	res, inst, err := sv.MaxISReader(ctx,
 		http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes), format)

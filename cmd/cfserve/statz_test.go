@@ -4,7 +4,8 @@ package main
 // tracks populate as requests land, the solve samples split into
 // cache_hit vs cache_miss (a cold parse followed by a hot resubmission
 // must feed one sample into each), job submissions feed jobs_submit,
-// and the job wait/run counters cfload reads move with a finished job.
+// the job wait/run counters cfload reads move with a finished job, and
+// the answer counters split solves from stored answers.
 
 import (
 	"encoding/json"
@@ -155,5 +156,30 @@ func TestStatzMaxISLatencyTrack(t *testing.T) {
 	}
 	if got := trackCount(t, e, "cache_miss"); got != 1 {
 		t.Fatalf("maxis cold solve missing from cache_miss: count %v", got)
+	}
+}
+
+func TestAnswerCountersCountResend(t *testing.T) {
+	_, ts := newTestServer(t)
+	body := quickstartBody(t)
+	var out json.RawMessage
+	for i := 0; i < 2; i++ {
+		if resp := postInstance(t, ts.URL+"/v1/reduce?k=2&oracle=greedy-mindeg", body, &out); resp.StatusCode != http.StatusOK {
+			t.Fatalf("reduce %d status %d", i, resp.StatusCode)
+		}
+	}
+	e := scrape(t, ts.URL)
+	if got := metric(t, e, "pslocal_answer_misses_total"); got != 1 {
+		t.Errorf("answer misses = %v, want 1 (the first solve)", got)
+	}
+	if got := metric(t, e, "pslocal_answer_hits_total"); got != 1 {
+		t.Errorf("answer hits = %v, want 1 (the resend)", got)
+	}
+	// Another seed is another input of a registry oracle: it solves.
+	if resp := postInstance(t, ts.URL+"/v1/reduce?k=2&oracle=greedy-mindeg&seed=7", body, &out); resp.StatusCode != http.StatusOK {
+		t.Fatalf("reseeded reduce status %d", resp.StatusCode)
+	}
+	if got := metric(t, scrape(t, ts.URL), "pslocal_answer_misses_total"); got != 2 {
+		t.Errorf("answer misses after a new seed = %v, want 2", got)
 	}
 }

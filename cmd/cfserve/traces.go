@@ -1,29 +1,18 @@
 package main
 
 // traces.go is the solve-tracing surface: every synchronous solve runs
-// under a pooled pslocal.Trace (job runs get theirs from the job
+// under a trace leased from obs's pool (job runs lease theirs in the job
 // manager), finished traces land in a bounded ring served by
 // GET /v1/traces?limit=N, and ?trace=1 on /v1/reduce and /v1/maxis
-// embeds the span tree in the response. Traces are pooled because a
-// trace preallocates its whole span store — steady state reuses it
-// instead of paying the allocation per request.
+// embeds the span tree in the response.
 
 import (
 	"fmt"
 	"net/http"
-	"sync"
 
 	"pslocal"
+	"pslocal/internal/obs"
 )
-
-var tracePool = sync.Pool{New: func() any { return pslocal.NewTrace("", "") }}
-
-// grabTrace leases a reset trace for one request.
-func grabTrace(op, requestID string) *pslocal.Trace {
-	tr := tracePool.Get().(*pslocal.Trace)
-	tr.Reset(op, requestID)
-	return tr
-}
 
 // finishTrace closes the trace, publishes its snapshot to the ring, and
 // returns the trace to the pool. The returned snapshot is safe to embed
@@ -32,7 +21,7 @@ func (s *server) finishTrace(tr *pslocal.Trace) *pslocal.TraceSnapshot {
 	tr.Finish()
 	snap := tr.Snapshot()
 	s.traces.Push(snap)
-	tracePool.Put(tr)
+	obs.ReleaseTrace(tr)
 	return snap
 }
 

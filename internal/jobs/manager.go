@@ -38,14 +38,18 @@ type job struct {
 	cancelRequested bool
 	// cancel aborts the running solve; set by the worker at pickup.
 	cancel context.CancelFunc
-	// result is a done job's result when the manager keeps no store
-	// (with one, the result lives in the store only).
+	// shared and result hold a done job's result when the manager keeps
+	// no store (with one, the result lives in the store only). shared is
+	// a result the Solver answered from its answer store: every caller of
+	// that answer holds the same pointer, so keeping it costs the job
+	// nothing. result packs any other result into a private copy.
+	shared *core.Result
 	result *packedResult
 	// subs are the live Watch channels; closed at the terminal event.
 	subs []chan Event
 }
 
-// packedResult is a done job's core.Result as a memory-only manager
+// packedResult is a freshly computed core.Result as a memory-only manager
 // keeps it. A core.Multicoloring holds one small slice per vertex; here
 // the colours sit back to back, vertex v's in colors[offsets[v]:
 // offsets[v+1]]. At n 300–400 that cuts the heap a finished job pins
@@ -280,7 +284,7 @@ func (m *Manager) resubmit(j *job, req Request, f graphio.Format) (Info, bool, e
 	prev := j.info
 	j.req = req
 	j.format = f
-	j.result = nil
+	j.shared, j.result = nil, nil
 	j.cancelRequested = false
 	j.cancel = nil
 	j.info = Info{
@@ -346,7 +350,9 @@ func (m *Manager) List(f Filter) []Info {
 }
 
 // Result returns a done job's reduction result, reading it back from the
-// store for jobs recovered after a restart.
+// store for jobs recovered after a restart. A memory-only manager may
+// return the result the Solver shares with every caller of the same
+// answer, so the returned value is read-only.
 func (m *Manager) Result(id string) (*core.Result, error) {
 	j, ok := m.lookup(id)
 	if !ok {
@@ -358,6 +364,9 @@ func (m *Manager) Result(id string) (*core.Result, error) {
 	defer j.mu.Unlock()
 	if j.info.State != StateDone {
 		return nil, fmt.Errorf("%w: job %s is %s", ErrNoResult, id, j.info.State)
+	}
+	if j.shared != nil {
+		return j.shared, nil
 	}
 	if j.result != nil {
 		return j.result.unpack(), nil
@@ -700,10 +709,11 @@ func (m *Manager) run(j *job) {
 
 	sv := m.base.With(j.req.Params.options()...)
 	// Job tracing is on only when the manager has a ring to publish into:
-	// a nil trace makes every span below a no-op.
+	// a nil trace makes every span below a no-op. The trace is leased and
+	// goes back to the pool once its snapshot is taken.
 	var tr *obs.Trace
 	if m.traces != nil {
-		tr = obs.NewTrace("job", j.req.RequestID)
+		tr = obs.LeaseTrace("job", j.req.RequestID)
 		ctx = obs.ContextWithTrace(ctx, tr)
 	}
 	var (
@@ -738,6 +748,7 @@ func (m *Manager) run(j *job) {
 	if tr != nil {
 		j.info.Trace = tr.Snapshot()
 		m.traces.Push(j.info.Trace)
+		obs.ReleaseTrace(tr)
 	}
 	j.info.FinishedAt = finished
 	cancelRequested := j.cancelRequested
@@ -747,7 +758,11 @@ func (m *Manager) run(j *job) {
 		j.info.TotalColors = res.TotalColors
 		j.info.PhaseCount = len(res.Phases)
 		if m.store == nil {
-			j.result = packResult(res)
+			if inst.AnswerHit {
+				j.shared = res
+			} else {
+				j.result = packResult(res)
+			}
 		}
 		m.met.completed.Add(1)
 	case cancelRequested:

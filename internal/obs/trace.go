@@ -81,6 +81,29 @@ func (t *Trace) Reset(op, requestID string) {
 	t.mu.Unlock()
 }
 
+// tracePool recycles traces between solves: a trace preallocates its
+// whole span store (defaultTraceSpans spans of about 128 B each), so
+// steady state reuses one instead of paying that allocation per request
+// or job run.
+var tracePool = sync.Pool{New: func() any { return NewTrace("", "") }}
+
+// LeaseTrace returns a pooled trace reset for op and requestID. Hand it
+// back with ReleaseTrace once its snapshot is taken: snapshots are
+// copies, so they outlive the trace's reuse.
+func LeaseTrace(op, requestID string) *Trace {
+	t := tracePool.Get().(*Trace)
+	t.Reset(op, requestID)
+	return t
+}
+
+// ReleaseTrace returns a leased trace to the pool; the caller must not
+// use it afterwards. A nil trace is ignored.
+func ReleaseTrace(t *Trace) {
+	if t != nil {
+		tracePool.Put(t)
+	}
+}
+
 // RequestID returns the trace's request id.
 func (t *Trace) RequestID() string {
 	if t == nil {

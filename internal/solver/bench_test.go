@@ -2,10 +2,12 @@ package solver
 
 // bench_test.go proves the zero-allocation serve path: a cache-hit
 // read — body buffering, content hashing, key lookup, Instance fill —
-// allocates nothing. BenchmarkSolverCacheHitAllocs is recorded into
-// BENCH_gk.json by scripts/bench.sh and guarded by the benchmerge
-// allocation gate; TestCacheHitReadAllocatesNothing enforces the same
-// line in every `go test` run.
+// allocates nothing, and an answer hit allocates only the Instance.
+// BenchmarkSolverCacheHitAllocs and BenchmarkSolverAnswerHit are
+// recorded into BENCH_gk.json by scripts/bench.sh and guarded by the
+// benchmerge allocation gate; TestCacheHitReadAllocatesNothing and
+// TestAnswerHitAllocatesOnlyTheInstance enforce the same lines in every
+// `go test` run.
 
 import (
 	"bytes"
@@ -103,30 +105,52 @@ func BenchmarkSolverCacheHitAllocsWeighted(b *testing.B) {
 // solve itself allocates (the result set), so this tracks total per-hit
 // cost rather than the zero line.
 func BenchmarkSolverMaxISReaderHot(b *testing.B) {
-	s := New(WithCache(8), WithOracle("greedy-mindeg-bitset"))
-	body := benchGraphBody(b, 256, 0.3)
-	ctx := context.Background()
-	if _, _, err := s.MaxISReader(ctx, bytes.NewReader(body), graphio.FormatEdgeList); err != nil {
-		b.Fatal(err)
-	}
-	r := bytes.NewReader(body)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Reset(body)
-		if _, _, err := s.MaxISReader(ctx, r, graphio.FormatEdgeList); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchMaxISReaderHot(b, benchGraphBody(b, 256, 0.3))
 }
 
 // BenchmarkSolverMaxISReaderHotWeighted is the serve path on a hot
 // weighted instance: same read/hash/hit pipeline, weighted greedy solve.
 func BenchmarkSolverMaxISReaderHotWeighted(b *testing.B) {
+	benchMaxISReaderHot(b, benchWeightedGraphBody(b, 256, 0.3))
+}
+
+// benchMaxISReaderHot times instance-cache hits that still solve. The
+// answer key of greedy-mindeg-bitset includes the seed, so each
+// iteration runs under a fresh seed (its Solver derived before the
+// timer) and misses the answer store.
+func benchMaxISReaderHot(b *testing.B, body []byte) {
 	s := New(WithCache(8), WithOracle("greedy-mindeg-bitset"))
-	body := benchWeightedGraphBody(b, 256, 0.3)
 	ctx := context.Background()
 	if _, _, err := s.MaxISReader(ctx, bytes.NewReader(body), graphio.FormatEdgeList); err != nil {
+		b.Fatal(err)
+	}
+	seeded := make([]*Solver, b.N)
+	for i := range seeded {
+		seeded[i] = s.With(WithSeed(int64(i + 2)))
+	}
+	r := bytes.NewReader(body)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Reset(body)
+		_, inst, err := seeded[i].MaxISReader(ctx, r, graphio.FormatEdgeList)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !inst.CacheHit || inst.AnswerHit {
+			b.Fatalf("CacheHit=%v AnswerHit=%v, want an instance hit that solves", inst.CacheHit, inst.AnswerHit)
+		}
+	}
+}
+
+// BenchmarkSolverAnswerHit is a hot reduce answered from the answer
+// store: read, hash, instance hit, answer hit, no solve. It allocates
+// only the returned Instance, a line the bench.sh alloc gate holds.
+func BenchmarkSolverAnswerHit(b *testing.B) {
+	s := New(WithCache(8), WithK(3))
+	body := benchHypergraphBody(b)
+	ctx := context.Background()
+	if _, _, err := s.SolveReader(ctx, bytes.NewReader(body), graphio.FormatEdgeList); err != nil {
 		b.Fatal(err)
 	}
 	r := bytes.NewReader(body)
@@ -134,8 +158,12 @@ func BenchmarkSolverMaxISReaderHotWeighted(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Reset(body)
-		if _, _, err := s.MaxISReader(ctx, r, graphio.FormatEdgeList); err != nil {
+		_, inst, err := s.SolveReader(ctx, r, graphio.FormatEdgeList)
+		if err != nil {
 			b.Fatal(err)
+		}
+		if !inst.AnswerHit {
+			b.Fatal("expected an answer hit")
 		}
 	}
 }

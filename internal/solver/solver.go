@@ -8,7 +8,9 @@
 // The Solver is what the public facade re-exports as pslocal.Solver and
 // what cmd/cfserve serves requests through. Serialized instances enter
 // through one reader per kind (SolveReader, MaxISReader), which always
-// hashes the body itself for the cache lookup. DESIGN.md ("Solver and
+// hashes the body itself for the cache lookup; with a cache, a reader
+// also returns an answer it computed before on the same instance and
+// strategy inputs instead of solving again. DESIGN.md ("Solver and
 // instance cache") records the design.
 package solver
 
@@ -137,8 +139,10 @@ func WithCarving(delta float64) Option {
 }
 
 // WithCache bounds the parsed-instance LRU used by SolveReader and
-// MaxISReader to n entries; 0 (the default) disables caching. The cache
-// is created at New and shared by every solver derived through With.
+// MaxISReader to n entries; 0 (the default) disables caching. Each entry
+// also stores up to four answers computed on it (see SolveReader). The
+// cache is created at New and shared by every solver derived through
+// With.
 func WithCache(n int) Option { return func(c *config) { c.cacheEntries = n } }
 
 // WithMaxInflight bounds the number of concurrently admitted solves;
@@ -248,25 +252,28 @@ func (s *Solver) engineOpts(ctx context.Context) engine.Options {
 	return eng
 }
 
-// reduceOptions resolves the configured strategy into core options:
-// "" and "implicit" select implicit first-fit, "exact" the hinted exact
-// solver, and any other name a registry oracle, instantiated fresh per
-// call so concurrent Solves never share oracle state.
-func (s *Solver) reduceOptions(ctx context.Context) (core.Options, error) {
+// reduceOptions resolves the configured strategy into core options and
+// the answer key of exactly what that strategy receives: "" and
+// "implicit" select implicit first-fit and "exact" the hinted exact
+// solver, which read neither the seed nor the engine (core.Reduce hands
+// the engine only to oracles); any other name is a registry oracle or
+// portfolio, which solve instantiates fresh per call with the seed, so
+// concurrent Solves never share oracle state, and which receives the
+// engine.
+func (s *Solver) reduceOptions(ctx context.Context) (core.Options, answerKey) {
 	opts := core.Options{K: s.cfg.k, Engine: s.engineOpts(ctx), OracleName: s.cfg.oracleName}
+	key := answerKey{strategy: s.cfg.oracleName, k: s.cfg.k}
 	switch s.cfg.oracleName {
 	case "", "implicit":
 		opts.Mode, opts.OracleName = core.ModeImplicitFirstFit, "implicit"
+		key.strategy = "implicit"
 	case "exact":
 		opts.Mode = core.ModeExactHinted
 	default:
-		oracle, err := maxis.Lookup(s.cfg.oracleName, s.cfg.seed)
-		if err != nil {
-			return opts, err
-		}
-		opts.Mode, opts.Oracle = core.ModeOracle, oracle
+		opts.Mode = core.ModeOracle
+		key.seed, key.workers = s.cfg.seed, opts.Engine.WorkerCount()
 	}
-	return opts, nil
+	return opts, key
 }
 
 // Solve runs the Theorem 1.1 reduction — conflict-free multicolouring via
@@ -277,15 +284,19 @@ func (s *Solver) Solve(ctx context.Context, h *hypergraph.Hypergraph) (*core.Res
 		return nil, err
 	}
 	defer s.release()
-	return s.solve(ctx, h)
+	opts, _ := s.reduceOptions(ctx)
+	return s.solve(ctx, h, opts)
 }
 
-// solve is Solve past the admission gate (SolveReader and SolveBatch hold
-// their own slot).
-func (s *Solver) solve(ctx context.Context, h *hypergraph.Hypergraph) (*core.Result, error) {
-	opts, err := s.reduceOptions(ctx)
-	if err != nil {
-		return nil, err
+// solve runs the reduction under opts past the admission gate (the
+// callers hold their own slot), instantiating a registry oracle first.
+func (s *Solver) solve(ctx context.Context, h *hypergraph.Hypergraph, opts core.Options) (*core.Result, error) {
+	if opts.Mode == core.ModeOracle {
+		oracle, err := maxis.Lookup(s.cfg.oracleName, s.cfg.seed)
+		if err != nil {
+			return nil, err
+		}
+		opts.Oracle = oracle
 	}
 	res, err := core.Reduce(ctx, h, opts)
 	return res, wrapCancelled(ctx, err)
@@ -303,9 +314,10 @@ func (s *Solver) SolveBatch(ctx context.Context, hs []*hypergraph.Hypergraph) ([
 	defer s.release()
 	results := make([]*core.Result, len(hs))
 	inner := s.With(WithWorkers(1))
+	opts, _ := inner.reduceOptions(ctx)
 	err := s.engineOpts(ctx).ForEachShard(len(hs), func(_ int, sh engine.Shard) error {
 		for i := sh.Lo; i < sh.Hi; i++ {
-			res, err := inner.solve(ctx, hs[i])
+			res, err := inner.solve(ctx, hs[i], opts)
 			if err != nil {
 				return fmt.Errorf("solver: batch instance %d: %w", i, err)
 			}
@@ -342,20 +354,40 @@ func (s *Solver) MaxIS(ctx context.Context, g *graph.Graph) (*ISResult, error) {
 		return nil, err
 	}
 	defer s.release()
-	return s.maxIS(ctx, g, nil)
+	return s.maxIS(ctx, g, nil, s.maxISKey())
 }
 
-// maxIS is MaxIS past the admission gate. A non-nil cg supplies the
-// cached instance's lazily packed bitset adjacency, injected into
-// kernel-capable oracles so cache-hit requests never re-pack.
-func (s *Solver) maxIS(ctx context.Context, g *graph.Graph, cg *cachedGraph) (*ISResult, error) {
+// maxISKey resolves the MaxIS strategy into the answer key of exactly
+// what it receives: carving receives only δ (0 resolved to the slocal
+// default 1.0), a registry oracle its name, the seed and the engine.
+// maxIS runs the strategy from these fields.
+func (s *Solver) maxISKey() answerKey {
+	if s.cfg.carving {
+		delta := s.cfg.delta
+		if delta == 0 {
+			delta = 1.0
+		}
+		return answerKey{strategy: "carving", delta: delta}
+	}
+	name := s.cfg.oracleName
+	if name == "" {
+		name = "greedy-mindeg"
+	}
+	return answerKey{strategy: name, seed: s.cfg.seed, workers: engine.FromWorkersFlag(s.cfg.workers).WorkerCount()}
+}
+
+// maxIS is MaxIS past the admission gate, running the strategy key
+// names. A non-nil cg supplies the cached instance's lazily packed
+// bitset adjacency, injected into kernel-capable oracles so cache-hit
+// requests never re-pack.
+func (s *Solver) maxIS(ctx context.Context, g *graph.Graph, cg *cachedGraph, key answerKey) (*ISResult, error) {
 	if s.cfg.carving {
 		sp := obs.TraceFrom(ctx).Start("carving_solve")
 		sp.SetDims(g.N(), g.M())
 		sp.SetOracle("carving")
 		defer sp.End()
 		res, err := slocal.BallCarvingMaxIS(g, slocal.CarvingOptions{
-			Delta: s.cfg.delta,
+			Delta: key.delta,
 			Ctx:   ctx,
 			Inner: func(ball *graph.Graph) ([]int32, error) {
 				set, err := maxis.ExactOpts(ball, maxis.ExactOptions{
@@ -379,11 +411,8 @@ func (s *Solver) maxIS(ctx context.Context, g *graph.Graph, cg *cachedGraph) (*I
 			RadiusBound: res.RadiusBound,
 		}, nil
 	}
-	name := s.cfg.oracleName
-	if name == "" {
-		name = "greedy-mindeg"
-	}
-	oracle, err := maxis.Lookup(name, s.cfg.seed)
+	name := key.strategy
+	oracle, err := maxis.Lookup(name, key.seed)
 	if err != nil {
 		return nil, err
 	}
@@ -420,6 +449,10 @@ type Instance struct {
 	Key string
 	// CacheHit reports whether parsing was skipped.
 	CacheHit bool
+	// AnswerHit reports whether the result came from the answer store,
+	// computed by an earlier call with the same strategy inputs, so the
+	// strategy did not run.
+	AnswerHit bool
 	// N and M are the instance's vertex and (hyper)edge counts.
 	N, M int
 
@@ -460,39 +493,58 @@ func (i *Instance) Weighted() bool {
 // (FormatAuto sniffs), consults the instance cache by content hash, and
 // runs Solve on the result. Admission happens before the body is read, so
 // parsing and CSR construction are bounded by the gate too.
+//
+// With a cache, a successful result is stored in the instance's entry
+// under exactly the inputs the strategy received, and a later call with
+// the same instance and inputs returns that stored result without
+// solving (Instance.AnswerHit). The result is therefore shared between
+// callers and must be treated as read-only.
 func (s *Solver) SolveReader(ctx context.Context, r io.Reader, f graphio.Format) (*core.Result, *Instance, error) {
 	if err := s.acquire(ctx); err != nil {
 		return nil, nil, err
 	}
 	defer s.release()
 	inst := new(Instance)
-	h, err := s.readHypergraphInto(ctx, r, f, inst)
+	h, answers, err := s.readHypergraphInto(ctx, r, f, inst)
 	if err != nil {
 		return nil, nil, wrapCancelled(ctx, err)
 	}
-	res, err := s.solve(ctx, h)
+	opts, key := s.reduceOptions(ctx)
+	if v, ok := s.cache.answer(ctx, answers, key); ok {
+		inst.AnswerHit = true
+		return v.(*core.Result), inst, nil
+	}
+	res, err := s.solve(ctx, h, opts)
 	if err != nil {
 		return nil, inst, err
 	}
+	answers.put(key, res)
 	return res, inst, nil
 }
 
-// MaxISReader is MaxIS over a serialized graph, with the same caching and
-// admission behaviour as SolveReader.
+// MaxISReader is MaxIS over a serialized graph, with the same caching,
+// answer-store and admission behaviour as SolveReader: the returned
+// result may be shared between callers and is read-only.
 func (s *Solver) MaxISReader(ctx context.Context, r io.Reader, f graphio.Format) (*ISResult, *Instance, error) {
 	if err := s.acquire(ctx); err != nil {
 		return nil, nil, err
 	}
 	defer s.release()
 	inst := new(Instance)
-	g, cg, err := s.readGraphInto(ctx, r, f, inst)
+	cg, answers, err := s.readGraphInto(ctx, r, f, inst)
 	if err != nil {
 		return nil, nil, wrapCancelled(ctx, err)
 	}
-	res, err := s.maxIS(ctx, g, cg)
+	key := s.maxISKey()
+	if v, ok := s.cache.answer(ctx, answers, key); ok {
+		inst.AnswerHit = true
+		return v.(*ISResult), inst, nil
+	}
+	res, err := s.maxIS(ctx, cg.g, cg, key)
 	if err != nil {
 		return nil, inst, err
 	}
+	answers.put(key, res)
 	return res, inst, nil
 }
 
@@ -523,16 +575,17 @@ func dimsHypergraphEntry(v any) (int, int) {
 }
 
 // readInstance funnels both substrates through one read-then-parse flow,
-// filling the caller-owned inst in place. The body lands in pooled
-// scratch and is parsed from there; the parsed instance copies what it
-// keeps, so the scratch is free for the next request once this returns.
-// With a cache the body is hashed through pooled sha256 state (the key
-// is the whole point), and a hit borrows the entry's canonical key
-// string — the whole hit path allocates nothing. Without a cache nothing
-// is hashed and Instance.Key stays empty.
+// filling the caller-owned inst in place, and returns the parsed value
+// with its cache entry's answer set. The body lands in pooled scratch
+// and is parsed from there; the parsed instance copies what it keeps, so
+// the scratch is free for the next request once this returns. With a
+// cache the body is hashed through pooled sha256 state (the key is the
+// whole point), and a hit borrows the entry's canonical key string — the
+// whole hit path allocates nothing. Without a cache nothing is hashed,
+// Instance.Key stays empty and the answer set is nil.
 func (s *Solver) readInstance(ctx context.Context, r io.Reader, f graphio.Format, kind string, inst *Instance,
 	parse func([]byte, graphio.Format) (any, error),
-	dims func(any) (int, int)) (any, error) {
+	dims func(any) (int, int)) (any, *answerSet, error) {
 	tr := obs.TraceFrom(ctx)
 	*inst = Instance{Kind: kind}
 	sc := grabServeScratch()
@@ -541,21 +594,21 @@ func (s *Solver) readInstance(ctx context.Context, r io.Reader, f graphio.Format
 	body, err := sc.readAll(r)
 	if err != nil {
 		sp.End()
-		return nil, fmt.Errorf("%w: %w", ErrReadInstance, err)
+		return nil, nil, fmt.Errorf("%w: %w", ErrReadInstance, err)
 	}
 	if s.cache != nil {
 		keyHex := sc.key(kind, f.String(), body)
 		sp.End()
 		lookup := tr.Start("cache_lookup")
-		if cached, canonical, ok := s.cache.getBytes(keyHex); ok {
-			inst.Key = canonical
+		if e, ok := s.cache.getBytes(keyHex); ok {
+			inst.Key = e.key
 			inst.CacheHit = true
-			inst.N, inst.M = dims(cached)
-			inst.value = cached
+			inst.N, inst.M = dims(e.val)
+			inst.value = e.val
 			lookup.SetDetail("hit")
 			lookup.SetDims(inst.N, inst.M)
 			lookup.End()
-			return cached, nil
+			return e.val, &e.answers, nil
 		}
 		lookup.SetDetail("miss")
 		lookup.End()
@@ -567,33 +620,33 @@ func (s *Solver) readInstance(ctx context.Context, r io.Reader, f graphio.Format
 	v, err := parse(body, f)
 	parseSp.End()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	var answers *answerSet
 	if s.cache != nil {
-		s.cache.put(inst.Key, v)
+		answers = &s.cache.put(inst.Key, v).answers
 	}
 	inst.N, inst.M = dims(v)
 	inst.value = v
 	parseSp.SetDims(inst.N, inst.M)
-	return v, nil
+	return v, answers, nil
 }
 
 // readHypergraphInto parses a hypergraph through the cache.
-func (s *Solver) readHypergraphInto(ctx context.Context, r io.Reader, f graphio.Format, inst *Instance) (*hypergraph.Hypergraph, error) {
-	v, err := s.readInstance(ctx, r, f, KindHypergraph, inst, parseHypergraphEntry, dimsHypergraphEntry)
-	if err != nil {
-		return nil, err
-	}
-	return v.(*hypergraph.Hypergraph), nil
-}
-
-// readGraphInto parses a graph through the cache, returning both the CSR
-// and the cache entry that lazily owns its packed bitset adjacency.
-func (s *Solver) readGraphInto(ctx context.Context, r io.Reader, f graphio.Format, inst *Instance) (*graph.Graph, *cachedGraph, error) {
-	v, err := s.readInstance(ctx, r, f, KindGraph, inst, parseGraphEntry, dimsGraphEntry)
+func (s *Solver) readHypergraphInto(ctx context.Context, r io.Reader, f graphio.Format, inst *Instance) (*hypergraph.Hypergraph, *answerSet, error) {
+	v, answers, err := s.readInstance(ctx, r, f, KindHypergraph, inst, parseHypergraphEntry, dimsHypergraphEntry)
 	if err != nil {
 		return nil, nil, err
 	}
-	cg := v.(*cachedGraph)
-	return cg.g, cg, nil
+	return v.(*hypergraph.Hypergraph), answers, nil
+}
+
+// readGraphInto parses a graph through the cache, returning the value
+// that lazily owns the CSR's packed bitset adjacency.
+func (s *Solver) readGraphInto(ctx context.Context, r io.Reader, f graphio.Format, inst *Instance) (*cachedGraph, *answerSet, error) {
+	v, answers, err := s.readInstance(ctx, r, f, KindGraph, inst, parseGraphEntry, dimsGraphEntry)
+	if err != nil {
+		return nil, nil, err
+	}
+	return v.(*cachedGraph), answers, nil
 }

@@ -577,14 +577,14 @@ func TestCacheEviction(t *testing.T) {
 	c := newInstanceCache(2)
 	c.put("a", 1)
 	c.put("b", 2)
-	if _, _, ok := c.getBytes([]byte("a")); !ok {
+	if _, ok := c.getBytes([]byte("a")); !ok {
 		t.Fatal("a should be cached")
 	}
 	c.put("c", 3) // evicts b, the least recently used
-	if _, _, ok := c.getBytes([]byte("b")); ok {
+	if _, ok := c.getBytes([]byte("b")); ok {
 		t.Error("b should have been evicted")
 	}
-	if _, _, ok := c.getBytes([]byte("a")); !ok {
+	if _, ok := c.getBytes([]byte("a")); !ok {
 		t.Error("a should have survived (recently used)")
 	}
 	st := c.snapshot()

@@ -143,14 +143,21 @@ func ConflictFreeMulti(h *hypergraph.Hypergraph, mc cfcolor.Multicoloring) error
 }
 
 // ReductionResult checks a Theorem 1.1 reduction output end to end: the
-// multicolouring is conflict-free on the original input, phase bookkeeping
-// chains correctly (E_{i+1} = E_i − removed, ending at zero), every phase
-// satisfies the Lemma 2.1(b) inequality removed >= |I_i|, and the colour
-// budget matches k·phases.
+// multicolouring is conflict-free on the original input (ConflictFreeMulti),
+// and the phase bookkeeping is consistent (ReductionBookkeeping).
 func ReductionResult(h *hypergraph.Hypergraph, res *core.Result) error {
 	if err := ConflictFreeMulti(h, res.Multicoloring); err != nil {
 		return err
 	}
+	return ReductionBookkeeping(h, res)
+}
+
+// ReductionBookkeeping checks the phase bookkeeping of a reduction
+// output without walking the hyperedges: phases chain correctly
+// (E_{i+1} = E_i − removed, ending at zero), every phase satisfies the
+// Lemma 2.1(b) inequality removed >= |I_i|, and the colour budget
+// matches k·phases.
+func ReductionBookkeeping(h *hypergraph.Hypergraph, res *core.Result) error {
 	edges := h.M()
 	for _, ph := range res.Phases {
 		if ph.EdgesBefore != edges {

@@ -183,6 +183,57 @@ func TestReductionResult(t *testing.T) {
 	}
 }
 
+// TestReductionBookkeepingSplit pins the split of ReductionResult: every
+// bookkeeping fault fails ReductionBookkeeping with the error
+// ReductionResult reports, and a conflict fault, which only the
+// hyperedge walk sees, fails ReductionResult alone.
+func TestReductionBookkeepingSplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	h, _, err := hypergraph.PlantedCF(15, 8, 3, 2, 4, rng)
+	if err != nil {
+		t.Fatalf("PlantedCF error: %v", err)
+	}
+	res, err := core.Reduce(nil, h, core.Options{K: 3, Mode: core.ModeImplicitFirstFit})
+	if err != nil {
+		t.Fatalf("Reduce error: %v", err)
+	}
+	if err := ReductionBookkeeping(h, res); err != nil {
+		t.Errorf("genuine reduction result rejected: %v", err)
+	}
+	withPhases := func(edit func([]core.PhaseStat)) *core.Result {
+		bad := *res
+		bad.Phases = append([]core.PhaseStat(nil), res.Phases...)
+		edit(bad.Phases)
+		return &bad
+	}
+	budget := *res
+	budget.TotalColors++
+	for name, bad := range map[string]*core.Result{
+		"removed count": withPhases(func(ps []core.PhaseStat) { ps[0].HappyRemoved++ }),
+		"colour budget": &budget,
+		"edges before":  withPhases(func(ps []core.PhaseStat) { ps[0].EdgesBefore++ }),
+		"lemma 2.1(b)":  withPhases(func(ps []core.PhaseStat) { ps[0].ISSize = ps[0].HappyRemoved + 1 }),
+		"zero removed":  withPhases(func(ps []core.PhaseStat) { ps[0].HappyRemoved = 0 }),
+	} {
+		whole, part := ReductionResult(h, bad), ReductionBookkeeping(h, bad)
+		if !errors.Is(part, ErrInconsistent) {
+			t.Errorf("%s: ReductionBookkeeping = %v, want ErrInconsistent", name, part)
+			continue
+		}
+		if whole == nil || whole.Error() != part.Error() {
+			t.Errorf("%s: ReductionResult = %v, ReductionBookkeeping = %v, want the same error", name, whole, part)
+		}
+	}
+	conflict := *res
+	conflict.Multicoloring = cfcolor.NewMulticoloring(h.N())
+	if err := ReductionResult(h, &conflict); !errors.Is(err, ErrNotConflictFree) {
+		t.Errorf("uncoloured result: ReductionResult = %v, want ErrNotConflictFree", err)
+	}
+	if err := ReductionBookkeeping(h, &conflict); err != nil {
+		t.Errorf("uncoloured result: ReductionBookkeeping = %v, want nil", err)
+	}
+}
+
 func TestIndependentTriples(t *testing.T) {
 	h := hypergraph.MustNew(3, [][]int32{{0, 1}, {1, 2}})
 	ix, err := core.NewIndex(h, 2)

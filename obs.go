@@ -14,7 +14,7 @@ package pslocal
 //
 //	tr := pslocal.NewTrace("reduce", requestID)
 //	ctx = pslocal.ContextWithTrace(ctx, tr)
-//	res, inst, err := sv.SolveReader(ctx, body, format) // phases recorded
+//	res, inst, err := sv.SolveReader(ctx, body, format) // phases recorded, or one answer span on a stored answer
 //	tr.Finish()
 //	snapshot := tr.Snapshot() // nested spans, JSON-ready
 //
