@@ -103,7 +103,7 @@ func run() error {
 		probeInterval = flag.Duration("probe-interval", 500*time.Millisecond, "backend health probe interval")
 		probeTimeout  = flag.Duration("probe-timeout", 0, "probe request timeout (0 = the interval)")
 		probePath     = flag.String("probe-path", "/readyz", "probed backend endpoint")
-		failAfter     = flag.Int("fail-after", 3, "consecutive probe/transport failures that eject a backend")
+		failAfter     = flag.Int("fail-after", cluster.DefaultFailAfter, "consecutive probe/transport failures that eject a backend")
 		slowMS        = flag.Int64("slow-ms", 1000,
 			"log a structured warning for proxied requests at or above this many milliseconds (0 = disabled)")
 	)

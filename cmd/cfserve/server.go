@@ -27,12 +27,12 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"pslocal"
+	"pslocal/internal/cluster"
 	"pslocal/internal/graphio"
 	"pslocal/internal/obs"
 )
@@ -228,41 +228,10 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(pslocal.RequestIDHeader, rid)
 	if _, pattern := s.mux.Handler(r); pattern == "" {
 		s.met.failures.Inc()
-		s.mux.ServeHTTP(&jsonErrorRewriter{w: w}, r)
+		s.mux.ServeHTTP(obs.JSONErrorWriter(w), r)
 		return
 	}
 	s.mux.ServeHTTP(w, r)
-}
-
-// jsonErrorRewriter wraps a ResponseWriter so the ServeMux's built-in
-// plain-text 404/405 bodies come out as the service's JSON error
-// envelope, preserving the status and the 405's Allow header.
-type jsonErrorRewriter struct {
-	w     http.ResponseWriter
-	wrote bool
-}
-
-func (j *jsonErrorRewriter) Header() http.Header { return j.w.Header() }
-
-func (j *jsonErrorRewriter) WriteHeader(status int) {
-	j.w.Header().Set("Content-Type", "application/json")
-	j.w.WriteHeader(status)
-}
-
-func (j *jsonErrorRewriter) Write(p []byte) (int, error) {
-	if !j.wrote {
-		j.wrote = true
-		body, err := json.Marshal(map[string]string{"error": strings.TrimSpace(string(p))})
-		if err != nil {
-			return 0, err
-		}
-		if _, err := j.w.Write(append(body, '\n')); err != nil {
-			return 0, err
-		}
-	}
-	// Report the caller's bytes as consumed either way: the envelope
-	// replaces the text body rather than appending to it.
-	return len(p), nil
 }
 
 // instanceInfo describes the parsed instance and its cache disposition in
@@ -540,7 +509,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // drainEjectQuorum is how many 503 readiness probes the SIGTERM path
 // waits for before closing the listener: cfgate's default FailAfter,
 // the consecutive-failure count at which the prober ejects a backend.
-const drainEjectQuorum = 3
+const drainEjectQuorum = cluster.DefaultFailAfter
 
 // handleReadyz reports readiness: 503 while draining, 200 otherwise.
 // cfgate probes this endpoint, so a draining node is ejected from

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -423,29 +424,35 @@ func TestGatewayJobGet404Failover(t *testing.T) {
 	}
 }
 
-func TestGatewayJobListMergesAndDedupes(t *testing.T) {
-	mkBackend := func(ids ...string) *httptest.Server {
-		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/readyz" {
-				w.WriteHeader(http.StatusOK)
-				return
-			}
-			jobs := make([]map[string]any, 0, len(ids))
-			for _, id := range ids {
-				jobs = append(jobs, map[string]any{"job": map[string]any{"id": id, "state": "done"}})
-			}
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(map[string]any{"count": len(jobs), "jobs": jobs})
-		}))
-	}
-	s1, s2 := mkBackend("id-a", "id-b"), mkBackend("id-b", "id-c")
-	defer s1.Close()
-	defer s2.Close()
-	g := newTestGateway(t, Config{Backends: []string{s1.URL, s2.URL}})
+// jobListBackend is a stub cfserve that lists the given job ids, cut to
+// the request's limit as cfserve cuts its own list.
+func jobListBackend(t *testing.T, ids ...string) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			w.WriteHeader(http.StatusOK)
+			return
+		}
+		jobs := make([]map[string]any, 0, len(ids))
+		for _, id := range ids {
+			jobs = append(jobs, map[string]any{"job": map[string]any{"id": id, "state": "done"}})
+		}
+		if limit, err := strconv.Atoi(r.URL.Query().Get("limit")); err == nil && limit > 0 && len(jobs) > limit {
+			jobs = jobs[:limit]
+		}
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(map[string]any{"count": len(jobs), "jobs": jobs})
+	}))
+	t.Cleanup(srv.Close)
+	return srv
+}
 
-	req := httptest.NewRequest(http.MethodGet, "/v1/jobs", nil)
+// listJobs serves GET /v1/jobs with the given query and returns the
+// merged ids and the reported count.
+func listJobs(t *testing.T, g *Gateway, query string) ([]string, int) {
+	t.Helper()
 	rec := httptest.NewRecorder()
-	g.ServeHTTP(rec, req)
+	g.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs"+query, nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
@@ -460,15 +467,51 @@ func TestGatewayJobListMergesAndDedupes(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Count != 3 || len(doc.Jobs) != 3 {
-		t.Fatalf("merged %d jobs, want 3 (id-b deduped): %s", doc.Count, rec.Body)
+	ids := make([]string, 0, len(doc.Jobs))
+	for _, j := range doc.Jobs {
+		ids = append(ids, j.Job.ID)
+	}
+	return ids, doc.Count
+}
+
+func TestGatewayJobListMergesAndDedupes(t *testing.T) {
+	s1, s2 := jobListBackend(t, "id-a", "id-b"), jobListBackend(t, "id-b", "id-c")
+	g := newTestGateway(t, Config{Backends: []string{s1.URL, s2.URL}})
+
+	ids, count := listJobs(t, g, "")
+	if count != 3 || len(ids) != 3 {
+		t.Fatalf("merged %d jobs (count %d), want 3 (id-b deduped): %v", len(ids), count, ids)
 	}
 	seen := map[string]bool{}
-	for _, j := range doc.Jobs {
-		if seen[j.Job.ID] {
-			t.Fatalf("job %s duplicated in the merge", j.Job.ID)
+	for _, id := range ids {
+		if seen[id] {
+			t.Fatalf("job %s duplicated in the merge", id)
 		}
-		seen[j.Job.ID] = true
+		seen[id] = true
+	}
+}
+
+// TestGatewayJobListHonoursLimit: every backend cuts its own list to the
+// limit, so the merge of three must be cut to it again.
+func TestGatewayJobListHonoursLimit(t *testing.T) {
+	backends := []string{
+		jobListBackend(t, "id-a", "id-b").URL,
+		jobListBackend(t, "id-c", "id-d").URL,
+		jobListBackend(t, "id-e", "id-f").URL,
+	}
+	g := newTestGateway(t, Config{Backends: backends})
+	for _, tc := range []struct {
+		query string
+		want  int
+	}{
+		{"?limit=2", 2},
+		{"?limit=1&state=done", 1},
+		{"?limit=10", 6},
+		{"?limit=0", 6},
+	} {
+		if ids, count := listJobs(t, g, tc.query); len(ids) != tc.want || count != tc.want {
+			t.Errorf("GET /v1/jobs%s: %d jobs (count %d), want %d", tc.query, len(ids), count, tc.want)
+		}
 	}
 }
 
@@ -590,33 +633,39 @@ func TestAffinitySaturationSpills(t *testing.T) {
 // TestGatewayMethodNotAllowed checks that a known path hit with the
 // wrong method surfaces the mux's 405 + Allow (not a blanket 404) in
 // the JSON error envelope, and a truly unknown path stays a 404.
+// TestGatewayMethodNotAllowed: routes the gateway's mux cannot match
+// answer with the JSON error envelope, as cfserve's do, and never reach
+// a backend.
 func TestGatewayMethodNotAllowed(t *testing.T) {
 	b := newSolveBackend(t, "b1")
 	g := newTestGateway(t, Config{Backends: []string{b.srv.URL}})
-
-	req := httptest.NewRequest(http.MethodPut, "/v1/reduce", strings.NewReader("x"))
-	rec := httptest.NewRecorder()
-	g.ServeHTTP(rec, req)
-	if rec.Code != http.StatusMethodNotAllowed {
-		t.Fatalf("PUT /v1/reduce = %d, want 405", rec.Code)
-	}
-	if rec.Header().Get("Allow") == "" {
-		t.Fatal("405 missing Allow header")
-	}
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("405 Content-Type %q, want the JSON envelope", ct)
-	}
-	var envelope struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &envelope); err != nil || envelope.Error == "" {
-		t.Fatalf("405 body %q not the JSON error envelope (%v)", rec.Body, err)
-	}
-
-	rec = httptest.NewRecorder()
-	g.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/nope", nil))
-	if rec.Code != http.StatusNotFound {
-		t.Fatalf("GET /nope = %d, want 404", rec.Code)
+	for _, tc := range []struct {
+		name, method, path string
+		wantStatus         int
+	}{
+		{"unknown path", http.MethodGet, "/nope", http.StatusNotFound},
+		{"wrong method on reduce", http.MethodGet, "/v1/reduce", http.StatusMethodNotAllowed},
+		{"put on reduce", http.MethodPut, "/v1/reduce", http.StatusMethodNotAllowed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			g.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, strings.NewReader("x")))
+			if rec.Code != tc.wantStatus {
+				t.Fatalf("%s %s = %d, want %d", tc.method, tc.path, rec.Code, tc.wantStatus)
+			}
+			if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+				t.Errorf("Content-Type %q, want the JSON envelope", ct)
+			}
+			var envelope struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &envelope); err != nil || envelope.Error == "" {
+				t.Errorf("body %q is not the JSON error envelope (%v)", rec.Body, err)
+			}
+			if tc.wantStatus == http.StatusMethodNotAllowed && rec.Header().Get("Allow") == "" {
+				t.Error("405 lost its Allow header")
+			}
+		})
 	}
 	if b.hits.Load() != 0 {
 		t.Fatal("unroutable requests must not reach a backend")

@@ -16,6 +16,11 @@ import (
 	"time"
 )
 
+// DefaultFailAfter is the consecutive-failure count that ejects a
+// backend when ProbeConfig.FailAfter is unset. cfserve's SIGTERM path
+// waits for this many 503 readiness probes before closing its listener.
+const DefaultFailAfter = 3
+
 // ProbeConfig configures the health prober.
 type ProbeConfig struct {
 	// Interval between probe rounds (default 500ms).
@@ -23,7 +28,8 @@ type ProbeConfig struct {
 	// Timeout of one probe request (default Interval).
 	Timeout time.Duration
 	// FailAfter is the consecutive-failure count that ejects a backend
-	// (default 3). Passive failures reported by the proxy count too.
+	// (default DefaultFailAfter). Passive failures reported by the proxy
+	// count too.
 	FailAfter int
 	// Path is the probed endpoint (default "/readyz").
 	Path string
@@ -40,7 +46,7 @@ func (c ProbeConfig) withDefaults() ProbeConfig {
 		c.Timeout = c.Interval
 	}
 	if c.FailAfter < 1 {
-		c.FailAfter = 3
+		c.FailAfter = DefaultFailAfter
 	}
 	if c.Path == "" {
 		c.Path = "/readyz"

@@ -20,6 +20,7 @@ import (
 	"net/http"
 	"net/textproto"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -164,42 +165,10 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(obs.RequestIDHeader, rid)
 	if _, pattern := g.mux.Handler(r); pattern == "" {
 		g.met.failures.Inc()
-		g.mux.ServeHTTP(&jsonErrorRewriter{w: w}, r)
+		g.mux.ServeHTTP(obs.JSONErrorWriter(w), r)
 		return
 	}
 	g.mux.ServeHTTP(w, r)
-}
-
-// jsonErrorRewriter wraps a ResponseWriter so the ServeMux's built-in
-// plain-text 404/405 bodies come out as the JSON error envelope,
-// preserving the status and the 405's Allow header (same shape as
-// cfserve's fallback rewriting, so gateway and backend errors match).
-type jsonErrorRewriter struct {
-	w     http.ResponseWriter
-	wrote bool
-}
-
-func (j *jsonErrorRewriter) Header() http.Header { return j.w.Header() }
-
-func (j *jsonErrorRewriter) WriteHeader(status int) {
-	j.w.Header().Set("Content-Type", "application/json")
-	j.w.WriteHeader(status)
-}
-
-func (j *jsonErrorRewriter) Write(p []byte) (int, error) {
-	if !j.wrote {
-		j.wrote = true
-		body, err := json.Marshal(map[string]string{"error": strings.TrimSpace(string(p))})
-		if err != nil {
-			return 0, err
-		}
-		if _, err := j.w.Write(append(body, '\n')); err != nil {
-			return 0, err
-		}
-	}
-	// Report the caller's bytes as consumed either way: the envelope
-	// replaces the text body rather than appending to it.
-	return len(p), nil
 }
 
 // writeError emits the service's JSON error envelope.
@@ -447,7 +416,9 @@ func (fw *flushWriter) Write(p []byte) (int, error) {
 
 // handleJobList fans GET /v1/jobs out to every healthy backend and
 // merges the answers, deduplicating by job id (a job may be visible on
-// several nodes through a shared store — the first answer wins).
+// several nodes through a shared store — the first answer wins). Each
+// backend applies the query's limit to its own list, so the merge is
+// cut to it again.
 func (g *Gateway) handleJobList(w http.ResponseWriter, r *http.Request) {
 	backends := g.bal.healthyBackends()
 	if len(backends) == 0 {
@@ -523,6 +494,9 @@ func (g *Gateway) handleJobList(w http.ResponseWriter, r *http.Request) {
 		g.met.failures.Inc()
 		g.writeError(w, http.StatusBadGateway, errors.New("cluster: no backend answered the list"))
 		return
+	}
+	if limit, err := strconv.Atoi(r.URL.Query().Get("limit")); err == nil && limit > 0 && len(merged) > limit {
+		merged = merged[:limit]
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{"count": len(merged), "jobs": merged})

@@ -3,15 +3,19 @@ package jobs
 // adopt_test.go covers the cluster-mode store semantics: Drain finishing
 // in-flight work while refusing new submissions, and the store as a
 // shared substrate — a manager pointed at a directory another manager
-// wrote adopts its terminal results (by full Rescan or by the targeted
-// Get/Result fallback) instead of re-running them.
+// wrote adopts its terminal results (by full Rescan or by a lookup of
+// one id) instead of re-running them.
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -237,16 +241,156 @@ func TestRescanAdoptsConcurrently(t *testing.T) {
 }
 
 // TestGetFallbackIgnoresGarbageIDs checks the store fallback validates
-// ids before touching the filesystem.
+// ids before touching the filesystem, for every method that takes one.
 func TestGetFallbackIgnoresGarbageIDs(t *testing.T) {
 	m := newManager(t, Config{Dir: t.TempDir()})
 	for _, id := range []string{"", "nope", strings.Repeat("z", 64), "../../etc/passwd"} {
 		if _, err := m.Get(id); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("Get(%q): %v, want ErrNotFound", id, err)
 		}
+		if _, _, err := m.Watch(id); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Watch(%q): %v, want ErrNotFound", id, err)
+		}
+		if _, err := m.Cancel(id); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Cancel(%q): %v, want ErrNotFound", id, err)
+		}
 	}
 	// A path-shaped id must never escape the store directory.
 	if p := m.ResultPath(strings.Repeat("a", 64)); !strings.HasPrefix(p, filepath.Clean(m.store.dir)) {
 		t.Fatalf("ResultPath escaped the store: %s", p)
+	}
+}
+
+// TestWatchAndCancelAdoptPeerJob checks that every method taking an id
+// reads the shared store on a registry miss, not only Get: a node asked
+// first to Watch or to Cancel a job a peer ran adopts it once and
+// answers with its terminal state.
+func TestWatchAndCancelAdoptPeerJob(t *testing.T) {
+	dir := t.TempDir()
+	writer := newManager(t, Config{Dir: dir, Workers: 1})
+	// The readers exist before the job does, so construction recovery
+	// cannot pick it up; only a lookup can.
+	watchFirst := newManager(t, Config{Dir: dir, Workers: 1})
+	cancelFirst := newManager(t, Config{Dir: dir, Workers: 1})
+	id := runJob(t, writer, Request{Body: testBody(t, 50)}).ID
+	writer.Close() // returns once the job document is written
+
+	watch := func(t *testing.T, m *Manager) {
+		ch, stop, err := m.Watch(id)
+		if err != nil {
+			t.Fatalf("Watch: %v", err)
+		}
+		defer stop()
+		if ev, ok := <-ch; !ok || ev.State != StateDone {
+			t.Fatalf("first event %+v (open %t), want done", ev, ok)
+		}
+		if ev, ok := <-ch; ok {
+			t.Fatalf("event %+v after the terminal one, want a closed channel", ev)
+		}
+	}
+	cancel := func(t *testing.T, m *Manager) {
+		info, err := m.Cancel(id)
+		if err != nil || info.State != StateDone || !info.Recovered {
+			t.Fatalf("Cancel = %+v, %v; want the recovered done job", info, err)
+		}
+	}
+	for _, tc := range []struct {
+		name          string
+		m             *Manager
+		first, second func(*testing.T, *Manager)
+	}{
+		{"watch first", watchFirst, watch, cancel},
+		{"cancel first", cancelFirst, cancel, watch},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.first(t, tc.m)
+			tc.second(t, tc.m)
+			if st := tc.m.Stats(); st.Adopted != 1 || st.Started != 0 {
+				t.Errorf("adopted %d and started %d, want the job adopted once and not run", st.Adopted, st.Started)
+			}
+		})
+	}
+}
+
+// TestLookupReadsStoreLikeRecovery writes a result document beside a job
+// document that names another id (a mislabelled or hand-copied file).
+// Startup recovery adopts the result as a done job; a lookup on a
+// running manager reads the store by the same rule.
+func TestLookupReadsStoreLikeRecovery(t *testing.T) {
+	dir := t.TempDir()
+	m := newManager(t, Config{Dir: dir}) // exists before the files do
+	id, other := strings.Repeat("ab", 32), strings.Repeat("cd", 32)
+	res := sampleResult(t)
+	if err := m.store.writeResult(id, res); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.store.writeJob(Info{ID: other, State: StateFailed, Error: "another job"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(filepath.Join(dir, other+jobSuffix), filepath.Join(dir, id+jobSuffix)); err != nil {
+		t.Fatal(err)
+	}
+	restarted := newManager(t, Config{Dir: dir})
+	for name, mgr := range map[string]*Manager{"lookup": m, "recovery": restarted} {
+		info, err := mgr.Get(id)
+		if err != nil || info.State != StateDone || info.TotalColors != res.TotalColors {
+			t.Errorf("%s: Get = %+v, %v; want the result document's done job", name, info, err)
+		}
+	}
+	if got, err := m.Result(id); err != nil || got.TotalColors != res.TotalColors {
+		t.Errorf("Result = %+v, %v", got, err)
+	}
+	if st := m.Stats(); st.Adopted != 1 {
+		t.Errorf("adopted %d, want 1", st.Adopted)
+	}
+}
+
+// TestDrainNeverOvertakesSubmit races Drain against a Submit whose body
+// takes a while to hash. Either may win, but Drain must not report a
+// drained manager while the submitted job is accepted and not terminal.
+// The gate oracle is never released, so an accepted job stays live
+// until Close cancels it.
+func TestDrainNeverOvertakesSubmit(t *testing.T) {
+	// 64 KiB of comments lengthen the hash; the parse skips them.
+	body := append(testBody(t, 1), bytes.Repeat([]byte("#"+strings.Repeat(".", 62)+"\n"), 1024)...)
+	req := Request{Body: body, Params: Params{Oracle: registerOracle(t, newGateOracle(t))}}
+	for try := 0; try < 50; try++ {
+		m := newManager(t, Config{Workers: 1})
+		var (
+			info      Info
+			accepted  bool
+			submitErr error
+		)
+		// Spin rather than block until the submitter runs: a goroutine
+		// woken by a channel would wait behind the whole Submit.
+		var submitting atomic.Bool
+		submitted := make(chan struct{})
+		go func() {
+			defer close(submitted)
+			submitting.Store(true)
+			info, accepted, submitErr = m.Submit(req)
+		}()
+		for !submitting.Load() {
+			runtime.Gosched()
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		drainErr := m.Drain(ctx)
+		cancel()
+		<-submitted
+		var state State
+		if accepted {
+			got, err := m.Get(info.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			state = got.State
+		}
+		m.Close()
+		if submitErr != nil && !errors.Is(submitErr, ErrDraining) {
+			t.Fatalf("try %d: Submit: %v", try, submitErr)
+		}
+		if drainErr == nil && accepted && !state.Terminal() {
+			t.Fatalf("try %d: Drain returned nil while the accepted job was %s", try, state)
+		}
 	}
 }

@@ -41,9 +41,9 @@ func TestAnsweredJobKeepsSharedResult(t *testing.T) {
 	answered := runJob(t, m, Request{Body: body, Params: Params{K: 2, Seed: 2}})
 
 	kept := func(id string) (*job, bool, bool) {
-		j, ok := m.lookup(id)
-		if !ok {
-			t.Fatalf("job %s not registered", id)
+		j, err := m.lookup(id)
+		if err != nil {
+			t.Fatal(err)
 		}
 		j.mu.Lock()
 		defer j.mu.Unlock()

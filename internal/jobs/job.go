@@ -48,10 +48,9 @@ var (
 	// queued jobs are being finished, new work is refused (cfserve maps it
 	// to 503 so a gateway retries against another node).
 	ErrDraining = errors.New("jobs: manager draining")
-	// ErrTransient tags a failure worth retrying: the default retry
-	// policy retries exactly the errors matching it under errors.Is.
-	// Oracles and custom Retryable hooks wrap it around recoverable
-	// faults (a flaky remote backend, a lost lease).
+	// ErrTransient tags a failure worth retrying: a job retries exactly
+	// the errors matching it under errors.Is. Oracles wrap it around
+	// recoverable faults (a flaky remote backend, a lost lease).
 	ErrTransient = errors.New("jobs: transient failure")
 	// ErrNoResult reports a Result call on a job that has none (not done,
 	// or its store entry vanished).

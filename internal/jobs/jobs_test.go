@@ -544,7 +544,6 @@ func TestWatchDeliversLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stop()
-	close(gate.release)
 
 	var states []State
 	deadline := time.After(15 * time.Second)
@@ -571,6 +570,14 @@ func TestWatchDeliversLifecycle(t *testing.T) {
 				t.Fatalf("event for wrong job: %+v", ev)
 			}
 			states = append(states, ev.State)
+			if ev.State == StateRunning {
+				// The gate holds the job running; the gauges that count
+				// it moved before the event announced it.
+				if st := m.Stats(); st.Running != 1 || st.Started != 1 {
+					t.Fatalf("at the running event: running %d, started %d; want 1 and 1", st.Running, st.Started)
+				}
+				close(gate.release)
+			}
 		case <-deadline:
 			t.Fatalf("watch never terminated; states so far %v", states)
 		}
@@ -753,6 +760,9 @@ func TestCloseResolvesQueuedAndRunning(t *testing.T) {
 	m.Close()
 	if got, _ := m.Get(queued.ID); got.State != StateCancelled {
 		t.Errorf("queued job after Close = %+v, want cancelled", got)
+	}
+	if st := m.Stats(); st.QueueDepth != 0 || st.Running != 0 {
+		t.Errorf("gauges after Close: queue depth %d, running %d; want 0 and 0", st.QueueDepth, st.Running)
 	}
 	if got, _ := m.Get(running.ID); !got.State.Terminal() {
 		t.Errorf("running job after Close = %+v, want terminal", got)

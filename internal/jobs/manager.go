@@ -2,11 +2,18 @@ package jobs
 
 // manager.go is the orchestration core: Manager owns the registry of
 // jobs, the bounded priority queue, the worker pool driving the shared
-// Solver, the store, and the counters. Locking is three-tiered and never
-// nested the wrong way: Manager.mu guards the registry (id → job,
-// submission order), queue.mu guards the lanes, and each job's own mutex
-// guards its mutable state and subscriber list. The only place two of
-// them overlap is Submit (Manager.mu → queue.mu), fixing the order.
+// Solver, the store, and the counters. Locking is three-tiered:
+// Manager.mu guards the registry (id → job, submission order) and the
+// draining flag's writes, each job's own mutex guards its mutable state
+// and subscriber list, and queue.mu guards the lanes. Where they nest,
+// the order is Manager.mu → job.mu → queue.mu: Submit holds all three
+// across the push, and Cancel holds job.mu → queue.mu to remove a
+// queued job.
+//
+// Every run enters the queue through enqueueLocked and leaves it for a
+// terminal state through finishLocked, which between them keep the
+// active count Drain waits on. Every method that takes an id finds the
+// job through lookup.
 
 import (
 	"bytes"
@@ -108,9 +115,6 @@ type Config struct {
 	Workers int
 	// QueueCap bounds the queue across all priority lanes (0 = 1024).
 	QueueCap int
-	// Retryable classifies errors worth re-running; nil retries exactly
-	// the errors matching ErrTransient. Cancellations never retry.
-	Retryable func(error) bool
 	// Traces, when non-nil, receives the span snapshot of every job run
 	// that reaches a terminal state (the same ring cfserve serves through
 	// GET /v1/traces). Nil disables job tracing.
@@ -120,24 +124,26 @@ type Config struct {
 // Manager is the job orchestrator. Construct with New, submit with
 // Submit, and stop with Close; all methods are safe for concurrent use.
 type Manager struct {
-	base      *solver.Solver
-	store     *store // nil when persistence is off
-	queue     *queue
-	met       metrics
-	retryable func(error) bool
-	workers   int
-	queueCap  int
-	traces    *obs.Ring // nil when job tracing is off
+	base     *solver.Solver
+	store    *store // nil when persistence is off
+	queue    *queue
+	met      metrics
+	workers  int
+	queueCap int
+	traces   *obs.Ring // nil when job tracing is off
 
 	mu    sync.Mutex
 	jobs  map[string]*job
 	order []string // submission order, for List
 
+	// active counts the runs between enqueueLocked and finishLocked:
+	// the jobs queued or running.
+	active   atomic.Int64
 	baseCtx  context.Context
 	stopBase context.CancelFunc
 	wg       sync.WaitGroup
 	closed   atomic.Bool
-	draining atomic.Bool
+	draining atomic.Bool // set under mu, so Submit reads it with the registry
 }
 
 // New builds the manager: it creates the store directory, rescans it for
@@ -156,18 +162,13 @@ func New(cfg Config) (*Manager, error) {
 	if queueCap < 1 {
 		queueCap = 1024
 	}
-	retryable := cfg.Retryable
-	if retryable == nil {
-		retryable = func(err error) bool { return errors.Is(err, ErrTransient) }
-	}
 	m := &Manager{
-		base:      base,
-		queue:     newQueue(queueCap),
-		retryable: retryable,
-		workers:   workers,
-		queueCap:  queueCap,
-		traces:    cfg.Traces,
-		jobs:      make(map[string]*job),
+		base:     base,
+		queue:    newQueue(queueCap),
+		workers:  workers,
+		queueCap: queueCap,
+		traces:   cfg.Traces,
+		jobs:     make(map[string]*job),
 	}
 	m.baseCtx, m.stopBase = context.WithCancel(context.Background())
 	if cfg.Dir != "" {
@@ -187,11 +188,7 @@ func New(cfg Config) (*Manager, error) {
 				info.State = StateFailed
 				info.Error = "jobs: non-terminal state recovered without a body"
 			}
-			info.Recovered = true
-			j := &job{info: info, format: graphio.FormatAuto}
-			m.jobs[info.ID] = j
-			m.order = append(m.order, info.ID)
-			m.met.recovered.Add(1)
+			m.adopt(info, &m.met.recovered)
 		}
 	}
 	for i := 0; i < workers; i++ {
@@ -209,9 +206,6 @@ func New(cfg Config) (*Manager, error) {
 func (m *Manager) Submit(req Request) (Info, bool, error) {
 	if m.closed.Load() {
 		return Info{}, false, ErrClosed
-	}
-	if m.draining.Load() {
-		return Info{}, false, ErrDraining
 	}
 	if len(req.Body) == 0 {
 		return Info{}, false, fmt.Errorf("%w: empty job body", graphio.ErrFormat)
@@ -234,89 +228,96 @@ func (m *Manager) Submit(req Request) (Info, bool, error) {
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if existing, ok := m.jobs[id]; ok {
-		// Done, queued and running jobs dedupe; a failed or cancelled job
-		// re-runs — resubmitting after a failure IS the retry, and a
-		// permanent dedupe onto a stale failure would make the id
-		// unrunnable forever (recovered failures have no body at all
-		// until a resubmission brings one).
-		if info, requeued, err := m.resubmit(existing, req, f); requeued || err != nil {
-			return info, requeued, err
-		}
+	// Checked under the registry lock Drain sets the flag under: a job
+	// either registers before Drain reads the active count or is refused.
+	if m.draining.Load() {
+		return Info{}, false, ErrDraining
+	}
+	j, known := m.jobs[id]
+	if !known {
+		j = &job{}
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	// Done, queued and running jobs dedupe; a failed or cancelled job
+	// re-runs — resubmitting after a failure IS the retry, and a
+	// permanent dedupe onto a stale failure would make the id unrunnable
+	// forever (recovered failures have no body at all until a
+	// resubmission brings one).
+	if known && j.info.State != StateFailed && j.info.State != StateCancelled {
 		m.met.deduped.Add(1)
-		return existing.snapshot(), false, nil
+		return j.info, false, nil
 	}
-	j := &job{
-		req:    req,
-		format: f,
-		info: Info{
-			ID:          id,
-			Label:       req.Label,
-			State:       StateQueued,
-			Priority:    req.Priority,
-			Params:      req.Params,
-			Format:      req.Format,
-			RequestID:   req.RequestID,
-			SubmittedAt: time.Now(),
-		},
-	}
-	// Snapshot before the push: the moment the job is queued a worker may
-	// pop it and start mutating its info.
-	info := j.info
-	if err := m.queue.push(j); err != nil {
+	info, err := m.enqueueLocked(j, id, req, f)
+	if err != nil {
 		return Info{}, false, err
 	}
-	m.jobs[id] = j
-	m.order = append(m.order, id)
-	m.met.submitted.Add(1)
+	if !known {
+		m.jobs[id] = j
+		m.order = append(m.order, id)
+	}
 	return info, true, nil
 }
 
-// resubmit re-enqueues a failed or cancelled job under a fresh request
-// (same content hash by construction). Callers hold m.mu; requeued is
-// false when the job's state dedupes instead.
-func (m *Manager) resubmit(j *job, req Request, f graphio.Format) (Info, bool, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.info.State != StateFailed && j.info.State != StateCancelled {
-		return Info{}, false, nil
-	}
+// enqueueLocked starts a run of j under req: a fresh queued Info, no
+// result or cancellation left from an earlier run, a place in the queue,
+// and a count in submitted and active. Callers hold m.mu and j.mu, so a
+// worker that pops j waits on j.mu until the run is counted. When the
+// queue refuses the push, j keeps its previous state.
+func (m *Manager) enqueueLocked(j *job, id string, req Request, f graphio.Format) (Info, error) {
 	prev := j.info
-	j.req = req
-	j.format = f
-	j.shared, j.result = nil, nil
-	j.cancelRequested = false
-	j.cancel = nil
 	j.info = Info{
-		ID:          prev.ID,
+		ID:          id,
 		Label:       req.Label,
 		State:       StateQueued,
-		Priority:    req.Priority,
+		Priority:    req.Priority, // push reads the lane from it
 		Params:      req.Params,
 		Format:      req.Format,
 		RequestID:   req.RequestID,
 		SubmittedAt: time.Now(),
 	}
-	info := j.info
 	if err := m.queue.push(j); err != nil {
-		j.info = prev // the bound rejected the re-run; keep the old outcome
-		return Info{}, false, err
+		j.info = prev
+		return Info{}, err
 	}
+	j.req, j.format = req, f
+	j.shared, j.result = nil, nil
+	j.cancelRequested, j.cancel = false, nil
 	m.met.submitted.Add(1)
-	m.publishLocked(j)
-	return info, true, nil
+	m.active.Add(1)
+	return j.info, nil
 }
 
-// Get returns the job's current snapshot. An id the registry does not
-// know is looked up in the store before 404ing: with a shared store
-// directory another node may have run and persisted the job, and a hit
-// adopts it here (see Rescan).
+// finishLocked moves j to a terminal state: it records the outcome,
+// drops the request body, counts the outcome, ends the run's share of
+// the active count and publishes. Terminal jobs stop pinning their body
+// (a resubmission brings a fresh one); without that, a long-lived
+// manager would hold every body, up to the server's body cap each,
+// forever. Callers hold j.mu.
+func (m *Manager) finishLocked(j *job, state State, errMsg string, at time.Time) {
+	j.info.State = state
+	j.info.Error = errMsg
+	j.info.FinishedAt = at
+	j.req.Body = nil
+	switch state {
+	case StateDone:
+		m.met.completed.Add(1)
+	case StateCancelled:
+		m.met.cancelled.Add(1)
+	default:
+		m.met.failed.Add(1)
+	}
+	m.active.Add(-1)
+	m.publishLocked(j)
+}
+
+// Get returns the job's current snapshot. Like every method that takes
+// an id, it adopts a terminal job the store holds under an id the
+// registry does not know (see lookup).
 func (m *Manager) Get(id string) (Info, error) {
-	j, ok := m.lookup(id)
-	if !ok {
-		if j, ok = m.adoptFromStore(id); !ok {
-			return Info{}, fmt.Errorf("%w: %s", ErrNotFound, id)
-		}
+	j, err := m.lookup(id)
+	if err != nil {
+		return Info{}, err
 	}
 	return j.snapshot(), nil
 }
@@ -354,11 +355,9 @@ func (m *Manager) List(f Filter) []Info {
 // return the result the Solver shares with every caller of the same
 // answer, so the returned value is read-only.
 func (m *Manager) Result(id string) (*core.Result, error) {
-	j, ok := m.lookup(id)
-	if !ok {
-		if j, ok = m.adoptFromStore(id); !ok {
-			return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
-		}
+	j, err := m.lookup(id)
+	if err != nil {
+		return nil, err
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -397,9 +396,9 @@ func (m *Manager) ResultPath(id string) string {
 // transitions once the solve unwinds; a terminal job is left as is. The
 // returned snapshot reflects the state after the request.
 func (m *Manager) Cancel(id string) (Info, error) {
-	j, ok := m.lookup(id)
-	if !ok {
-		return Info{}, fmt.Errorf("%w: %s", ErrNotFound, id)
+	j, err := m.lookup(id)
+	if err != nil {
+		return Info{}, err
 	}
 	j.mu.Lock()
 	switch j.info.State {
@@ -410,12 +409,7 @@ func (m *Manager) Cancel(id string) (Info, error) {
 		// the removal and the transition.
 		m.queue.remove(j)
 		j.cancelRequested = true
-		j.info.State = StateCancelled
-		j.info.Error = "cancelled before running"
-		j.info.FinishedAt = time.Now()
-		j.req.Body = nil
-		m.met.cancelled.Add(1)
-		m.publishLocked(j)
+		m.finishLocked(j, StateCancelled, "cancelled before running", time.Now())
 		info := j.info
 		j.mu.Unlock()
 		m.persist(info)
@@ -439,9 +433,9 @@ func (m *Manager) Cancel(id string) (Info, error) {
 // state at subscription time; the channel closes after the terminal
 // event. The returned stop function detaches the subscription early.
 func (m *Manager) Watch(id string) (<-chan Event, func(), error) {
-	j, ok := m.lookup(id)
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: %s", ErrNotFound, id)
+	j, err := m.lookup(id)
+	if err != nil {
+		return nil, nil, err
 	}
 	ch := make(chan Event, 8)
 	j.mu.Lock()
@@ -503,43 +497,26 @@ func (m *Manager) Stats() Stats {
 // a drained manager does not resume admissions).
 func (m *Manager) Draining() bool { return m.draining.Load() }
 
-// Drain stops admitting new jobs and waits until every registered job
-// has reached a terminal state: queued jobs still run (the worker pool
-// keeps popping), running jobs finish, and only then does Drain return.
-// ctx bounds the wait — on expiry the manager stays draining (admissions
+// Drain stops admitting new jobs and waits until every accepted job has
+// reached a terminal state: queued jobs still run (the worker pool keeps
+// popping), running jobs finish, and only then does Drain return. ctx
+// bounds the wait — on expiry the manager stays draining (admissions
 // stay refused) and the remaining jobs keep running until Close cancels
 // them. Drain is idempotent and safe to call concurrently with Close.
 func (m *Manager) Drain(ctx context.Context) error {
+	m.mu.Lock()
 	m.draining.Store(true)
+	m.mu.Unlock()
 	tick := time.NewTicker(5 * time.Millisecond)
 	defer tick.Stop()
-	for {
-		if !m.anyActive() {
-			return nil
-		}
+	for m.active.Load() > 0 {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-tick.C:
 		}
 	}
-}
-
-// anyActive reports whether any registered job is still queued or
-// running.
-func (m *Manager) anyActive() bool {
-	m.mu.Lock()
-	jobs := make([]*job, 0, len(m.jobs))
-	for _, j := range m.jobs {
-		jobs = append(jobs, j)
-	}
-	m.mu.Unlock()
-	for _, j := range jobs {
-		if !j.snapshot().State.Terminal() {
-			return true
-		}
-	}
-	return false
+	return nil
 }
 
 // Rescan re-reads the store directory and adopts terminal jobs another
@@ -562,42 +539,28 @@ func (m *Manager) Rescan() (int, error) {
 		if !info.State.Terminal() {
 			continue
 		}
-		if m.adopt(info) {
+		if _, ok := m.adopt(info, &m.met.adopted); ok {
 			adopted++
 		}
 	}
 	return adopted, nil
 }
 
-// adopt registers a terminal Info read from the store, reporting whether
-// it was new (false = the id was already registered and the existing job
-// wins).
-func (m *Manager) adopt(info Info) bool {
+// adopt registers a job read from the store and counts it in counter.
+// An id already registered keeps its job: adopt returns that job and
+// false.
+func (m *Manager) adopt(info Info, counter *atomic.Uint64) (*job, bool) {
 	info.Recovered = true
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.jobs[info.ID]; ok {
-		return false
+	if j, ok := m.jobs[info.ID]; ok {
+		return j, false
 	}
-	m.jobs[info.ID] = &job{info: info, format: graphio.FormatAuto}
+	j := &job{info: info, format: graphio.FormatAuto}
+	m.jobs[info.ID] = j
 	m.order = append(m.order, info.ID)
-	m.met.adopted.Add(1)
-	return true
-}
-
-// adoptFromStore is the targeted (single-id) version of Rescan, used by
-// Get and Result on a registry miss: another node sharing the store may
-// have finished this job. Returns the adopted or already-registered job.
-func (m *Manager) adoptFromStore(id string) (*job, bool) {
-	if m.store == nil || !validJobID(id) {
-		return nil, false
-	}
-	info, ok := m.store.loadTerminal(id)
-	if !ok {
-		return nil, false
-	}
-	m.adopt(info) // a racing adopt keeps the existing registration
-	return m.lookup(id)
+	counter.Add(1)
+	return j, true
 }
 
 // Close stops the pool: no new submissions, queued jobs transition to
@@ -620,23 +583,31 @@ func (m *Manager) Close() {
 	for _, j := range jobs {
 		j.mu.Lock()
 		if j.info.State == StateQueued {
-			j.info.State = StateCancelled
-			j.info.Error = "manager closed"
-			j.info.FinishedAt = time.Now()
-			j.req.Body = nil
-			m.met.cancelled.Add(1)
-			m.publishLocked(j)
+			m.finishLocked(j, StateCancelled, "manager closed", time.Now())
 		}
 		j.mu.Unlock()
 	}
 }
 
-// lookup finds a job by id.
-func (m *Manager) lookup(id string) (*job, bool) {
+// lookup returns the job registered under id. An id the registry does
+// not know is read from the store: with a shared store directory another
+// node may have run and persisted the job, and a terminal job found
+// there is adopted (see Rescan).
+func (m *Manager) lookup(id string) (*job, error) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	j, ok := m.jobs[id]
-	return j, ok
+	m.mu.Unlock()
+	if ok {
+		return j, nil
+	}
+	// The id may come from a URL path; only a job id may name a file.
+	if m.store != nil && validJobID(id) {
+		if info, ok := m.store.load(id); ok && info.State.Terminal() {
+			j, _ := m.adopt(info, &m.met.adopted)
+			return j, nil
+		}
+	}
+	return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 }
 
 // persist writes the terminal metadata document, best effort: a metadata
@@ -699,13 +670,14 @@ func (m *Manager) run(j *job) {
 		ctx, cancel = context.WithCancel(ctx)
 	}
 	j.cancel = cancel
-	m.publishLocked(j)
-	wait := started.Sub(j.info.SubmittedAt)
-	j.mu.Unlock()
-	defer cancel()
-	m.met.waitNS.Add(int64(wait))
+	// The counters move before publishLocked announces the running
+	// state, so a watcher woken by that event never reads a stale gauge.
+	m.met.waitNS.Add(int64(started.Sub(j.info.SubmittedAt)))
 	m.met.started.Add(1)
 	m.met.running.Add(1)
+	m.publishLocked(j)
+	j.mu.Unlock()
+	defer cancel()
 
 	sv := m.base.With(j.req.Params.options()...)
 	// Job tracing is on only when the manager has a ring to publish into:
@@ -723,7 +695,7 @@ func (m *Manager) run(j *job) {
 	)
 	for attempt := 0; ; attempt++ {
 		res, inst, err = sv.SolveReader(ctx, bytes.NewReader(j.req.Body), j.format)
-		if err == nil || attempt >= j.req.MaxRetries || ctx.Err() != nil || !m.retryable(err) {
+		if err == nil || attempt >= j.req.MaxRetries || ctx.Err() != nil || !errors.Is(err, ErrTransient) {
 			break
 		}
 		m.met.retries.Add(1)
@@ -750,11 +722,10 @@ func (m *Manager) run(j *job) {
 		m.traces.Push(j.info.Trace)
 		obs.ReleaseTrace(tr)
 	}
-	j.info.FinishedAt = finished
 	cancelRequested := j.cancelRequested
+	state, errMsg := StateDone, ""
 	switch {
 	case err == nil:
-		j.info.State = StateDone
 		j.info.TotalColors = res.TotalColors
 		j.info.PhaseCount = len(res.Phases)
 		if m.store == nil {
@@ -764,27 +735,18 @@ func (m *Manager) run(j *job) {
 				j.result = packResult(res)
 			}
 		}
-		m.met.completed.Add(1)
 	case cancelRequested:
-		j.info.State = StateCancelled
-		j.info.Error = err.Error()
-		m.met.cancelled.Add(1)
+		state, errMsg = StateCancelled, err.Error()
 	default:
-		j.info.State = StateFailed
-		j.info.Error = err.Error()
-		m.met.failed.Add(1)
+		state, errMsg = StateFailed, err.Error()
 	}
 	m.met.runNS.Add(int64(finished.Sub(started)))
-	// The gauge drops before publishLocked announces the terminal state,
+	// The gauge drops before finishLocked announces the terminal state,
 	// so a watcher woken by that event never reads a stale running count.
 	m.met.running.Add(-1)
 	m.met.finished.Add(1)
-	// Terminal jobs stop pinning their request body (a resubmission
-	// brings a fresh one) — without this, a long-lived manager would
-	// hold every body (up to the server's body cap each) forever.
-	j.req.Body = nil
+	m.finishLocked(j, state, errMsg, finished)
 	info := j.info
-	m.publishLocked(j)
 	j.mu.Unlock()
 
 	// Shutdown interruptions stay unpersisted (see Close); every other

@@ -41,7 +41,7 @@ type Stats struct {
 	// Recovered counts jobs restored from the store at construction.
 	Recovered uint64 `json:"recovered"`
 	// Adopted counts jobs adopted after construction from a shared store
-	// another manager wrote (Rescan or a Get/Result store fallback).
+	// another manager wrote (Rescan, or a lookup by id).
 	Adopted uint64 `json:"adopted"`
 	// Draining reports that Drain has stopped admissions.
 	Draining bool `json:"draining,omitempty"`
@@ -83,10 +83,12 @@ func (s Stats) MeanRunMS() float64 {
 }
 
 // snapshot assembles a Stats from the counters plus the live gauges.
-// Finished is loaded before Started: every job bumps started before
-// finished, so that order keeps Started >= Finished in every snapshot.
+// Every run bumps submitted before started and started before finished,
+// so loading them in the reverse order keeps Submitted >= Started >=
+// Finished in every snapshot.
 func (m *metrics) snapshot(queueDepth, queueCap, workers int, draining bool) Stats {
 	finished := m.finished.Load()
+	started := m.started.Load()
 	return Stats{
 		Submitted:  m.submitted.Load(),
 		Deduped:    m.deduped.Load(),
@@ -101,7 +103,7 @@ func (m *metrics) snapshot(queueDepth, queueCap, workers int, draining bool) Sta
 		QueueCap:   queueCap,
 		Running:    int(m.running.Load()),
 		Workers:    workers,
-		Started:    m.started.Load(),
+		Started:    started,
 		Finished:   finished,
 		WaitSumMS:  float64(m.waitNS.Load()) / 1e6,
 		RunSumMS:   float64(m.runNS.Load()) / 1e6,

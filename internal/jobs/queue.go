@@ -50,8 +50,7 @@ func (q *queue) push(j *job) error {
 
 // pop removes and returns the oldest job of the highest non-empty lane,
 // blocking while the queue is empty. ok is false once the queue is
-// closed; remaining items are abandoned (their jobs stay queued in the
-// registry, which Close then resolves).
+// closed.
 func (q *queue) pop() (j *job, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -102,10 +101,14 @@ func (q *queue) depth() int {
 }
 
 // close wakes every blocked pop; subsequent pushes fail with ErrClosed
-// and pops return ok=false immediately.
+// and pops return ok=false immediately. The items still queued are
+// dropped, so depth reads 0: their jobs stay queued in the registry
+// until Close resolves them.
 func (q *queue) close() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.closed = true
+	q.lanes = [numPriorities][]*job{}
+	q.n = 0
 	q.nonEmpty.Broadcast()
 }

@@ -56,6 +56,10 @@ func TestStatsWaitRunAccountingUnderLoad(t *testing.T) {
 				t.Errorf("finished (%d) overtook started (%d)", st.Finished, st.Started)
 				return
 			}
+			if st.Started > st.Submitted {
+				t.Errorf("started (%d) overtook submitted (%d)", st.Started, st.Submitted)
+				return
+			}
 			if st.WaitSumMS < 0 || st.RunSumMS < 0 {
 				t.Errorf("negative latency sums: %+v", st)
 				return

@@ -9,7 +9,7 @@ package jobs
 // before the metadata document, and recovery rescans the directory on
 // manager construction — so a restart finds every job that reached a
 // terminal state before the crash, and an interrupted write leaves at
-// worst an orphan result document, which recovery adopts as a done job.
+// worst an orphan result document, which load reads as a done job.
 
 import (
 	"encoding/json"
@@ -131,16 +131,19 @@ func (st *store) readJob(path string) (Info, error) {
 	return doc.Info, nil
 }
 
-// loadTerminal reads one job's persisted state by id: the metadata
-// document when present, otherwise an orphan result document adopted as
-// a done job (mirroring recover's per-file logic). ok is false when the
-// store holds nothing usable for the id, or what it holds is
-// non-terminal or mislabeled.
-func (st *store) loadTerminal(id string) (Info, bool) {
-	if info, err := st.readJob(filepath.Join(st.dir, id+jobSuffix)); err == nil {
-		if info.ID == id && info.State.Terminal() {
-			return info, true
-		}
+// load reads one job's persisted state by id: the metadata document
+// when it parses and names id, otherwise the result document as a done
+// job (a crash between the two writes, or a mislabelled metadata file).
+// That fallback needs a job id, the 64-hex content hash, so a stray
+// renamed file does not resurface as a phantom job, and a readable
+// result, so a truncated write does not come back as a done job. ok is
+// false when the store holds nothing usable for id. Startup, Rescan and
+// lookups all read the store through load.
+func (st *store) load(id string) (Info, bool) {
+	if info, err := st.readJob(filepath.Join(st.dir, id+jobSuffix)); err == nil && info.ID == id {
+		return info, true
+	}
+	if !validJobID(id) {
 		return Info{}, false
 	}
 	res, err := st.readResult(id)
@@ -156,10 +159,9 @@ func (st *store) loadTerminal(id string) (Info, bool) {
 	}, true
 }
 
-// recover rescans the store: every readable job document yields its Info,
-// and result documents without metadata (a crash between the two writes)
-// are adopted as done jobs. Unreadable files are skipped — recovery
-// restores what it can rather than refusing to start.
+// recover rescans the store and loads every job it names once, in
+// directory order. Unreadable files are skipped — recovery restores what
+// it can rather than refusing to start.
 func (st *store) recover() ([]Info, error) {
 	entries, err := os.ReadDir(st.dir)
 	if err != nil {
@@ -167,43 +169,18 @@ func (st *store) recover() ([]Info, error) {
 	}
 	var infos []Info
 	seen := make(map[string]bool)
-	var orphans []string
 	for _, e := range entries {
-		name := e.Name()
-		switch {
-		case strings.HasSuffix(name, jobSuffix):
-			info, err := st.readJob(filepath.Join(st.dir, name))
-			if err != nil || info.ID != strings.TrimSuffix(name, jobSuffix) {
-				continue
-			}
+		id, ok := strings.CutSuffix(e.Name(), jobSuffix)
+		if !ok {
+			id, ok = strings.CutSuffix(e.Name(), resultSuffix)
+		}
+		if !ok || seen[id] {
+			continue
+		}
+		seen[id] = true
+		if info, ok := st.load(id); ok {
 			infos = append(infos, info)
-			seen[info.ID] = true
-		case strings.HasSuffix(name, resultSuffix):
-			orphans = append(orphans, strings.TrimSuffix(name, resultSuffix))
 		}
-	}
-	for _, id := range orphans {
-		if seen[id] {
-			continue
-		}
-		// Validate before adopting: the stem must look like a job id (the
-		// 64-hex content hash — a stray renamed file must not resurface
-		// as a phantom job) and a truncated write must not come back as a
-		// done job with an unreadable result.
-		if !validJobID(id) {
-			continue
-		}
-		res, err := st.readResult(id)
-		if err != nil {
-			continue
-		}
-		infos = append(infos, Info{
-			ID:          id,
-			State:       StateDone,
-			Priority:    PriorityNormal,
-			TotalColors: res.TotalColors,
-			PhaseCount:  len(res.Phases),
-		})
 	}
 	return infos, nil
 }

@@ -11,7 +11,8 @@
 #      trace through an affinity gateway, and require a strictly higher
 #      cache-hit ratio (the point of content-hash routing). The shared
 #      store carries phase-1 jobs over: the fresh fleet adopts them and
-#      serves them by id through the gateway.
+#      serves them by id through the gateway, and a node that did not
+#      run a job streams its events and accepts its DELETE.
 #   3. Drain: fire a paced burst at the affinity gateway and SIGTERM one
 #      backend mid-burst. The gateway must reroute (cfgate_rerouted_total
 #      > 0 on its /metrics), the killed node must drain and exit 0, and
@@ -95,6 +96,37 @@ curl -fsS "http://$gate/v1/jobs" > "$work/jobs.json"
 jq -e '.count > 0' "$work/jobs.json" >/dev/null
 id=$(jq -r '.jobs[0].job.id' "$work/jobs.json")
 curl -fsS "http://$gate/v1/jobs/$id" | jq -e '.job.state == "done"' >/dev/null
+
+# Every id lookup reads the shared store, not only GET: once a fresh
+# job's runner (named by X-Pslocal-Backend) has finished it, each other
+# node must stream its done event and accept its DELETE. They are asked
+# before any GET reaches them, which would adopt the job first, and in
+# opposite orders, so each method adopts on one node.
+curl -fsS -D "$work/fresh.hdr" -X POST \
+  --data-binary @cmd/cfserve/testdata/quickstart.json \
+  "http://$gate/v1/jobs?k=3&oracle=greedy-mindeg&seed=29" > "$work/fresh.json"
+fid=$(jq -r .job.id "$work/fresh.json")
+runner=$(awk 'tolower($1) == "x-pslocal-backend:" { sub(/\r$/, "", $2); print $2 }' "$work/fresh.hdr")
+state=""
+for i in $(seq 1 100); do
+  state=$(curl -fsS "$runner/v1/jobs/$fid" | jq -r .job.state)
+  [ "$state" = done ] && break
+  sleep 0.1
+done
+[ "$state" = done ]
+peer_events() { curl -fsS --max-time 10 "$1/v1/jobs/$fid/events" | grep -q '^event: done'; }
+peer_cancel() { curl -fsS -X DELETE "$1/v1/jobs/$fid" | jq -e '.job.state == "done"' >/dev/null; }
+order="events cancel"
+for b in "http://$b1" "http://$b2" "http://$b3"; do
+  [ "$b" = "$runner" ] && continue
+  for op in $order; do
+    "peer_$op" "$b" || {
+      echo "clustersmoke: $b failed $op of job $fid, which $runner ran" >&2
+      exit 1
+    }
+  done
+  order="cancel events"
+done
 
 # Observability: a caller-supplied request id survives the whole path —
 # echoed by the gateway, forwarded to the backend, stamped on the job's
