@@ -1,16 +1,19 @@
 package cluster
 
-// balancer.go turns "who could serve this" into "who serves this":
-// per-backend in-flight tracking, the three routing policies, and the
-// attempt plan a proxied request walks. Affinity is the default — the
-// ring owner first so repeated instances hit its parsed-instance cache
-// — with saturation spilling onto the least-loaded healthy backend
-// rather than queueing behind a hot key.
+// balancer.go turns "who could serve this" into "who serves this": the
+// per-backend record, the three routing policies, and the attempt plan
+// a proxied request walks. Affinity is the default — the ring owner
+// first so repeated instances hit its parsed-instance cache — with
+// saturation spilling onto the least-loaded healthy backend rather than
+// queueing behind a hot key.
 
 import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
+
+	"pslocal/internal/obs"
 )
 
 // Policy selects how the gateway picks a backend.
@@ -43,64 +46,53 @@ func ParsePolicy(s string) (Policy, bool) {
 	return "", false
 }
 
-// loadTracker counts in-flight proxied requests per backend. The counts
-// are the gateway's own view (not the backend's total load), which is
-// exactly what least-loaded spill needs: relative pressure from here.
-type loadTracker struct {
-	mu     sync.Mutex
-	counts map[string]*atomic.Int64
+// backend is one configured cfserve node: the one record routing, the
+// prober, the proxy and GET /metrics all read. New builds the set once,
+// in the ring's sorted order, and it never changes.
+type backend struct {
+	url string
+	// inflight counts the gateway's requests to this backend from send
+	// until their response body is closed. It is the gateway's own view
+	// (not the backend's total load), which is exactly what least-loaded
+	// spill needs: relative pressure from here.
+	inflight atomic.Int64
+
+	// mu guards the health record the prober and the proxy report into.
+	mu      sync.Mutex
+	healthy bool
+	// fails is the current consecutive-failure count.
+	fails int
+	// ejections counts healthy→ejected transitions.
+	ejections uint64
+	// backoff and nextProbe gate re-probing an ejected backend; healthy
+	// backends probe every Interval.
+	backoff   time.Duration
+	nextProbe time.Time
+
+	// The proxy-path metric handles, labeled by url.
+	proxy   *obs.Histogram // every upstream attempt's latency
+	retries *obs.Counter   // forwarded attempts it failed or declined (the request moved on)
+	// failovers counts job lookups it answered 404 while later
+	// candidates remained: the id scan moving on, not a failure. Its
+	// family name must not start with cfgate_backend_retries_total,
+	// which the serving benchmark sums by prefix.
+	failovers *obs.Counter
+	proxied   *obs.Counter // forwarded requests it answered
 }
 
-func newLoadTracker(backends []string) *loadTracker {
-	lt := &loadTracker{counts: make(map[string]*atomic.Int64, len(backends))}
-	for _, b := range backends {
-		lt.counts[b] = new(atomic.Int64)
-	}
-	return lt
-}
-
-// acquire marks one request in flight on backend and returns its
-// release.
-func (lt *loadTracker) acquire(backend string) func() {
-	c := lt.counter(backend)
-	c.Add(1)
-	var once sync.Once
-	return func() { once.Do(func() { c.Add(-1) }) }
-}
-
-func (lt *loadTracker) counter(backend string) *atomic.Int64 {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	c, ok := lt.counts[backend]
-	if !ok {
-		c = new(atomic.Int64)
-		lt.counts[backend] = c
-	}
-	return c
-}
-
-// load returns the in-flight count of backend.
-func (lt *loadTracker) load(backend string) int64 {
-	return lt.counter(backend).Load()
-}
-
-// balancer composes ring, health and load into attempt plans.
-type balancer struct {
-	ring   *Ring
-	health *health
-	loads  *loadTracker
-	// saturation is the per-backend in-flight count past which affinity
-	// spills; 0 disables spilling.
-	saturation int64
-	rr         atomic.Uint64
+// admitted reports whether the backend is currently routed to.
+func (b *backend) admitted() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.healthy
 }
 
 // healthyBackends returns the admitted backends, sorted.
-func (b *balancer) healthyBackends() []string {
-	var out []string
-	for _, name := range b.ring.Backends() {
-		if b.health.healthy(name) {
-			out = append(out, name)
+func (g *Gateway) healthyBackends() []*backend {
+	var out []*backend
+	for _, b := range g.backends {
+		if b.admitted() {
+			out = append(out, b)
 		}
 	}
 	return out
@@ -111,33 +103,33 @@ func (b *balancer) healthyBackends() []string {
 // backends are planned last rather than dropped — with every backend
 // ejected, trying one beats refusing outright (the probe may simply not
 // have caught a recovery yet).
-func (b *balancer) plan(key string, policy Policy) []string {
-	all := b.ring.Backends()
-	if len(all) == 0 {
-		return nil
-	}
-	var ordered []string
+func (g *Gateway) plan(key string, policy Policy) []*backend {
+	n := len(g.backends)
+	ordered := make([]*backend, 0, n)
 	switch policy {
 	case PolicyRoundRobin:
-		start := int(b.rr.Add(1)-1) % len(all)
-		for i := range all {
-			ordered = append(ordered, all[(start+i)%len(all)])
+		start := int(g.rr.Add(1)-1) % n
+		for i := range n {
+			ordered = append(ordered, g.backends[(start+i)%n])
 		}
 	case PolicyLeastLoaded:
-		ordered = append(ordered, all...)
+		ordered = append(ordered, g.backends...)
 		sort.SliceStable(ordered, func(i, j int) bool {
-			return b.loads.load(ordered[i]) < b.loads.load(ordered[j])
+			return ordered[i].inflight.Load() < ordered[j].inflight.Load()
 		})
 	default: // PolicyAffinity
-		ordered = b.ring.Candidates(key)
+		for _, i := range g.ring.order(key) {
+			ordered = append(ordered, g.backends[i])
+		}
 		// A saturated owner spills: the least-loaded other backend leads
 		// and the owner shifts to second (still the cache-affine retry if
 		// the spill target fails).
-		if b.saturation > 0 && len(ordered) > 1 &&
-			(!b.health.healthy(ordered[0]) || b.loads.load(ordered[0]) >= b.saturation) {
+		saturation := int64(g.cfg.BackendInflight)
+		if saturation > 0 && n > 1 &&
+			(!ordered[0].admitted() || ordered[0].inflight.Load() >= saturation) {
 			min := 1
-			for i := 2; i < len(ordered); i++ {
-				if b.loads.load(ordered[i]) < b.loads.load(ordered[min]) {
+			for i := 2; i < n; i++ {
+				if ordered[i].inflight.Load() < ordered[min].inflight.Load() {
 					min = i
 				}
 			}
@@ -148,13 +140,13 @@ func (b *balancer) plan(key string, policy Policy) []string {
 	}
 	// Stable partition: healthy candidates keep their order up front,
 	// ejected ones trail as a last resort.
-	healthy := make([]string, 0, len(ordered))
-	var ejected []string
-	for _, name := range ordered {
-		if b.health.healthy(name) {
-			healthy = append(healthy, name)
+	healthy := make([]*backend, 0, n)
+	var ejected []*backend
+	for _, b := range ordered {
+		if b.admitted() {
+			healthy = append(healthy, b)
 		} else {
-			ejected = append(ejected, name)
+			ejected = append(ejected, b)
 		}
 	}
 	return append(healthy, ejected...)

@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -73,35 +75,36 @@ func TestRingStabilityUnderRemoval(t *testing.T) {
 }
 
 func TestHealthEjectionAndReadmission(t *testing.T) {
-	h := newHealth([]string{"b1", "b2"}, ProbeConfig{FailAfter: 2, Interval: 10 * time.Millisecond}, nil)
-	if !h.healthy("b1") {
+	b1, b2 := &backend{url: "b1"}, &backend{url: "b2"}
+	h := newHealth([]*backend{b1, b2}, ProbeConfig{FailAfter: 2, Interval: 10 * time.Millisecond}, nil)
+	if !b1.admitted() {
 		t.Fatal("backends must start healthy")
 	}
-	h.reportFailure("b1")
-	if !h.healthy("b1") {
+	h.reportFailure(b1)
+	if !b1.admitted() {
 		t.Fatal("one failure must not eject at FailAfter=2")
 	}
-	h.reportFailure("b1")
-	if h.healthy("b1") {
+	h.reportFailure(b1)
+	if b1.admitted() {
 		t.Fatal("b1 should be ejected after 2 consecutive failures")
 	}
-	if st := h.state("b1"); st.ejections != 1 {
-		t.Fatalf("ejections = %d, want 1", st.ejections)
+	if b1.ejections != 1 {
+		t.Fatalf("ejections = %d, want 1", b1.ejections)
 	}
 	// Failures while ejected grow the backoff; success re-admits.
-	h.reportFailure("b1")
-	h.reportSuccess("b1")
-	if !h.healthy("b1") {
+	h.reportFailure(b1)
+	h.reportSuccess(b1)
+	if !b1.admitted() {
 		t.Fatal("success must re-admit")
 	}
-	if st := h.state("b1"); st.fails != 0 {
-		t.Fatalf("fails = %d after success, want 0", st.fails)
+	if b1.fails != 0 {
+		t.Fatalf("fails = %d after success, want 0", b1.fails)
 	}
 	// A success in between resets the consecutive counter.
-	h.reportFailure("b2")
-	h.reportSuccess("b2")
-	h.reportFailure("b2")
-	if !h.healthy("b2") {
+	h.reportFailure(b2)
+	h.reportSuccess(b2)
+	h.reportFailure(b2)
+	if !b2.admitted() {
 		t.Fatal("non-consecutive failures must not eject")
 	}
 }
@@ -109,7 +112,7 @@ func TestHealthEjectionAndReadmission(t *testing.T) {
 func TestHealthProberEjectsAndReadmits(t *testing.T) {
 	var ready atomic.Bool
 	ready.Store(true)
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/readyz" {
 			t.Errorf("probe hit %s, want /readyz", r.URL.Path)
 		}
@@ -119,9 +122,10 @@ func TestHealthProberEjectsAndReadmits(t *testing.T) {
 		}
 		w.WriteHeader(http.StatusOK)
 	}))
-	defer backend.Close()
+	defer srv.Close()
 
-	h := newHealth([]string{backend.URL}, ProbeConfig{
+	b := &backend{url: srv.URL}
+	h := newHealth([]*backend{b}, ProbeConfig{
 		Interval:   5 * time.Millisecond,
 		FailAfter:  2,
 		MaxBackoff: 20 * time.Millisecond,
@@ -134,7 +138,7 @@ func TestHealthProberEjectsAndReadmits(t *testing.T) {
 	waitFor := func(want bool, msg string) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
-		for h.healthy(backend.URL) != want {
+		for b.admitted() != want {
 			if time.Now().After(deadline) {
 				t.Fatal(msg)
 			}
@@ -187,6 +191,27 @@ func newTestGateway(t *testing.T, cfg Config) *Gateway {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// record returns the gateway's record of the backend at addr.
+func record(t *testing.T, g *Gateway, addr string) *backend {
+	t.Helper()
+	for _, b := range g.backends {
+		if b.url == addr {
+			return b
+		}
+	}
+	t.Fatalf("gateway has no backend %q", addr)
+	return nil
+}
+
+// urlsOf lists a plan's backend URLs.
+func urlsOf(plan []*backend) []string {
+	out := make([]string, len(plan))
+	for i, b := range plan {
+		out[i] = b.url
+	}
+	return out
 }
 
 func postReduce(t *testing.T, g *Gateway, body string) *httptest.ResponseRecorder {
@@ -319,7 +344,7 @@ func TestGatewayRetriesDeadBackendAndEjects(t *testing.T) {
 	}
 	// The transport failure ejected the owner passively (FailAfter=1), so
 	// the next request skips it outright.
-	if g.hlth.healthy(owner) {
+	if record(t, g, owner).admitted() {
 		t.Fatal("dead backend still admitted after a transport failure")
 	}
 	rec = postReduce(t, g, body)
@@ -371,7 +396,7 @@ func TestGatewayJobGet404Failover(t *testing.T) {
 	}
 	all := []string{mkBackend().URL, mkBackend().URL, mkBackend().URL}
 	g := newTestGateway(t, Config{Backends: all})
-	plan := g.bal.plan(id, PolicyAffinity)
+	plan := urlsOf(g.plan(id, PolicyAffinity))
 	if len(plan) != 3 {
 		t.Fatalf("plan %v, want all three backends", plan)
 	}
@@ -425,7 +450,8 @@ func TestGatewayJobGet404Failover(t *testing.T) {
 }
 
 // jobListBackend is a stub cfserve that lists the given job ids, cut to
-// the request's limit as cfserve cuts its own list.
+// the request's limit as cfserve cuts its own list; like cfserve, it
+// answers a malformed limit 400.
 func jobListBackend(t *testing.T, ids ...string) *httptest.Server {
 	t.Helper()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -433,14 +459,23 @@ func jobListBackend(t *testing.T, ids ...string) *httptest.Server {
 			w.WriteHeader(http.StatusOK)
 			return
 		}
+		w.Header().Set("Content-Type", "application/json")
+		limit, err := 0, error(nil)
+		if raw := r.URL.Query().Get("limit"); raw != "" {
+			limit, err = strconv.Atoi(raw)
+		}
+		if err != nil || limit < 0 {
+			w.WriteHeader(http.StatusBadRequest)
+			json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf("bad limit parameter %q", r.URL.Query().Get("limit"))})
+			return
+		}
 		jobs := make([]map[string]any, 0, len(ids))
 		for _, id := range ids {
 			jobs = append(jobs, map[string]any{"job": map[string]any{"id": id, "state": "done"}})
 		}
-		if limit, err := strconv.Atoi(r.URL.Query().Get("limit")); err == nil && limit > 0 && len(jobs) > limit {
+		if limit > 0 && len(jobs) > limit {
 			jobs = jobs[:limit]
 		}
-		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(map[string]any{"count": len(jobs), "jobs": jobs})
 	}))
 	t.Cleanup(srv.Close)
@@ -515,6 +550,137 @@ func TestGatewayJobListHonoursLimit(t *testing.T) {
 	}
 }
 
+// TestGatewayJobListRelaysRejection: a query every backend rejects is
+// the client's error, so its 4xx and body come back, not a 502; with no
+// answer at all the list still fails 502.
+func TestGatewayJobListRelaysRejection(t *testing.T) {
+	backends := []string{jobListBackend(t, "id-a").URL, jobListBackend(t, "id-b").URL}
+	g := newTestGateway(t, Config{Backends: backends})
+	rec := httptest.NewRecorder()
+	g.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs?limit=abc", nil))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("GET /v1/jobs?limit=abc = %d (%s), want the backends' 400", rec.Code, rec.Body)
+	}
+	if want := `{"error":"bad limit parameter \"abc\""}` + "\n"; rec.Body.String() != want {
+		t.Fatalf("body %q, want the backend's %q", rec.Body, want)
+	}
+	if v, _ := scrape(t, g).Value("cfgate_failures_total"); v != 1 {
+		t.Fatalf("failures = %v, want the unlisted request counted once", v)
+	}
+
+	failing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusInternalServerError)
+	}))
+	t.Cleanup(failing.Close)
+	g = newTestGateway(t, Config{Backends: []string{failing.URL}})
+	rec = httptest.NewRecorder()
+	g.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs", nil))
+	if rec.Code != http.StatusBadGateway {
+		t.Fatalf("GET /v1/jobs with every backend failing = %d, want 502", rec.Code)
+	}
+}
+
+// TestGatewayJobListIsAnUpstreamRequest: the list fan-out leaves the
+// gateway like a forwarded request does, carrying the client's request
+// id and end-to-end headers and counting in the backend's in-flight
+// gauge until its answer is read.
+func TestGatewayJobListIsAnUpstreamRequest(t *testing.T) {
+	arrived, release := make(chan http.Header, 1), make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			w.WriteHeader(http.StatusOK)
+			return
+		}
+		arrived <- r.Header.Clone()
+		<-release
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprintln(w, `{"count":1,"jobs":[{"job":{"id":"id-a","state":"done"}}]}`)
+	}))
+	t.Cleanup(srv.Close)
+	g := newTestGateway(t, Config{Backends: []string{srv.URL}})
+
+	req := httptest.NewRequest(http.MethodGet, "/v1/jobs", nil)
+	req.Header.Set(obs.RequestIDHeader, "gw-list-0001")
+	req.Header.Set("Authorization", "Bearer tok")
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		g.ServeHTTP(rec, req)
+	}()
+	var seen http.Header
+	select {
+	case seen = <-arrived:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the list never reached the backend")
+	}
+	if v := perBackend(t, scrape(t, g), "cfgate_backend_inflight", srv.URL)[srv.URL]; v != 1 {
+		t.Errorf("in-flight = %v while the list waits on the backend, want 1", v)
+	}
+	close(release)
+	<-done
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	if got := seen.Get(obs.RequestIDHeader); got != "gw-list-0001" {
+		t.Errorf("backend saw request id %q, want the client's gw-list-0001", got)
+	}
+	if got := seen.Get("Authorization"); got != "Bearer tok" {
+		t.Errorf("backend saw Authorization %q, want the client's", got)
+	}
+	if v := perBackend(t, scrape(t, g), "cfgate_backend_inflight", srv.URL)[srv.URL]; v != 0 {
+		t.Errorf("in-flight = %v after the list answered, want 0", v)
+	}
+}
+
+// TestGatewayStreamsEventsLive: an events stream proxied through a
+// real listener delivers its first event while the backend still holds
+// the stream open, rather than when the stream ends.
+func TestGatewayStreamsEventsLive(t *testing.T) {
+	release := make(chan struct{})
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			w.WriteHeader(http.StatusOK)
+			return
+		}
+		w.Header().Set("Content-Type", "text/event-stream")
+		w.WriteHeader(http.StatusOK)
+		fmt.Fprint(w, "event: running\ndata: {}\n\n")
+		w.(http.Flusher).Flush()
+		select {
+		case <-release:
+			fmt.Fprint(w, "event: done\ndata: {}\n\n")
+		case <-r.Context().Done():
+		}
+	}))
+	t.Cleanup(backend.Close)
+	gate := httptest.NewServer(newTestGateway(t, Config{Backends: []string{backend.URL}}))
+	t.Cleanup(gate.Close)
+	defer close(release)
+
+	resp, err := http.Get(gate.URL + "/v1/jobs/" + strings.Repeat("a", 64) + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+		t.Fatalf("Content-Type %q, want text/event-stream", ct)
+	}
+	first := make(chan string, 1)
+	go func() {
+		line, _ := bufio.NewReader(resp.Body).ReadString('\n')
+		first <- line
+	}()
+	select {
+	case line := <-first:
+		if line != "event: running\n" {
+			t.Fatalf("first line %q, want the running event", line)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the first event did not pass the gateway while the stream was open")
+	}
+}
+
 func TestGatewayReadyzReflectsBackends(t *testing.T) {
 	b := newSolveBackend(t, "b1")
 	g := newTestGateway(t, Config{Backends: []string{b.srv.URL}})
@@ -523,9 +689,10 @@ func TestGatewayReadyzReflectsBackends(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("readyz = %d with a healthy backend", rec.Code)
 	}
-	g.hlth.reportFailure(b.srv.URL)
-	g.hlth.reportFailure(b.srv.URL)
-	g.hlth.reportFailure(b.srv.URL)
+	rb := record(t, g, b.srv.URL)
+	g.hlth.reportFailure(rb)
+	g.hlth.reportFailure(rb)
+	g.hlth.reportFailure(rb)
 	rec = httptest.NewRecorder()
 	g.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
 	if rec.Code != http.StatusServiceUnavailable {
@@ -577,6 +744,9 @@ func TestGatewayRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{Backends: []string{"not-a-url"}}); err == nil {
 		t.Error("non-http backend must fail")
 	}
+	if _, err := New(Config{Backends: []string{"http://exa mple:1"}}); err == nil {
+		t.Error("unparsable backend URL must fail")
+	}
 	if _, err := New(Config{Backends: []string{"http://a"}, Policy: "bogus"}); err == nil {
 		t.Error("unknown policy must fail")
 	}
@@ -597,36 +767,26 @@ func TestGatewayBadFormatParam(t *testing.T) {
 }
 
 func TestLeastLoadedPrefersIdleBackend(t *testing.T) {
-	lt := newLoadTracker([]string{"a", "b"})
-	h := newHealth([]string{"a", "b"}, ProbeConfig{}, nil)
-	ring := NewRing([]string{"a", "b"}, 0)
-	bal := &balancer{ring: ring, health: h, loads: lt}
-	release := lt.acquire("a")
-	defer release()
-	if plan := bal.plan("any", PolicyLeastLoaded); plan[0] != "b" {
-		t.Fatalf("least-loaded picked %s with a busy, want b", plan[0])
+	g := newTestGateway(t, Config{Backends: []string{"http://a", "http://b"}})
+	record(t, g, "http://a").inflight.Add(1)
+	if plan := g.plan("any", PolicyLeastLoaded); plan[0].url != "http://b" {
+		t.Fatalf("least-loaded picked %s with a busy, want b", plan[0].url)
 	}
 }
 
 func TestAffinitySaturationSpills(t *testing.T) {
-	lt := newLoadTracker([]string{"a", "b", "c"})
-	h := newHealth([]string{"a", "b", "c"}, ProbeConfig{}, nil)
-	ring := NewRing([]string{"a", "b", "c"}, 0)
-	bal := &balancer{ring: ring, health: h, loads: lt, saturation: 2}
+	g := newTestGateway(t, Config{Backends: []string{"http://a", "http://b", "http://c"}, BackendInflight: 2})
 	key := "some-key"
-	owner := ring.Owner(key)
-	r1, r2 := lt.acquire(owner), lt.acquire(owner)
-	defer r1()
-	defer r2()
-	plan := bal.plan(key, PolicyAffinity)
-	if plan[0] == owner {
+	owner := g.Ring().Owner(key)
+	record(t, g, owner).inflight.Add(2)
+	plan := g.plan(key, PolicyAffinity)
+	if plan[0].url == owner {
 		t.Fatalf("saturated owner %s still planned first", owner)
 	}
 	// Below saturation the owner leads.
-	r1()
-	r2()
-	if plan := bal.plan(key, PolicyAffinity); plan[0] != owner {
-		t.Fatalf("idle owner %s not planned first: %v", owner, plan)
+	record(t, g, owner).inflight.Add(-2)
+	if plan := g.plan(key, PolicyAffinity); plan[0].url != owner {
+		t.Fatalf("idle owner %s not planned first: %v", owner, urlsOf(plan))
 	}
 }
 
@@ -711,5 +871,25 @@ func TestGatewayForwardsClientHeaders(t *testing.T) {
 	}
 	if got.Get("X-Custom-Conn") != "" || got.Get("Connection") != "" {
 		t.Fatalf("hop-by-hop headers forwarded: %v", got)
+	}
+}
+
+// TestGatewayForwardsEscapedPath: an escaped '?' in a job id stays in
+// the path on the proxy hop instead of starting a query there.
+func TestGatewayForwardsEscapedPath(t *testing.T) {
+	var seen atomic.Value // *url.URL
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		seen.Store(r.URL)
+		w.WriteHeader(http.StatusNotFound)
+	}))
+	t.Cleanup(backend.Close)
+	g := newTestGateway(t, Config{Backends: []string{backend.URL}})
+	g.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/v1/jobs/a%3Fb", nil))
+	got, _ := seen.Load().(*url.URL)
+	if got == nil {
+		t.Fatal("the lookup never reached the backend")
+	}
+	if got.Path != "/v1/jobs/a?b" || got.RawQuery != "" {
+		t.Fatalf("backend saw path %q and query %q, want path /v1/jobs/a?b and no query", got.Path, got.RawQuery)
 	}
 }

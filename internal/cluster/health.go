@@ -1,13 +1,13 @@
 package cluster
 
-// health.go tracks per-backend availability: an active prober hits each
-// backend's readiness endpoint on an interval and ejects it after
-// FailAfter consecutive failures, with exponential backoff before
-// re-probing an ejected backend; passive transport failures observed
-// while proxying feed the same counter, so a dead backend stops taking
-// traffic before the next probe tick. A draining backend answers its
-// readiness probe 503 and is ejected the same way — that is the
-// graceful-drain handoff.
+// health.go tracks per-backend availability in each backend's record:
+// an active prober hits each backend's readiness endpoint on an
+// interval and ejects it after FailAfter consecutive failures, with
+// exponential backoff before re-probing an ejected backend; passive
+// transport failures observed while proxying feed the same counter, so
+// a dead backend stops taking traffic before the next probe tick. A
+// draining backend answers its readiness probe 503 and is ejected the
+// same way — that is the graceful-drain handoff.
 
 import (
 	"context"
@@ -57,129 +57,87 @@ func (c ProbeConfig) withDefaults() ProbeConfig {
 	return c
 }
 
-// backendState is the mutable health record of one backend.
-type backendState struct {
-	healthy bool
-	// fails is the current consecutive-failure count.
-	fails int
-	// ejections counts healthy→ejected transitions.
-	ejections uint64
-	// backoff and nextProbe gate re-probing an ejected backend; healthy
-	// backends probe every Interval.
-	backoff   time.Duration
-	nextProbe time.Time
-}
-
-// health tracks every backend's state under one lock (the state is tiny
-// and the proxy touches it once per attempt).
+// health is the prober: it drives the health record of every backend.
 type health struct {
-	cfg    ProbeConfig
-	client *http.Client
-
-	mu     sync.Mutex
-	states map[string]*backendState
+	cfg      ProbeConfig
+	client   *http.Client
+	backends []*backend
 }
 
 // newHealth starts every backend healthy: the first probe round
 // corrects optimism within one Interval, and refusing all traffic until
 // then would turn a gateway restart into an outage.
-func newHealth(backends []string, cfg ProbeConfig, transport http.RoundTripper) *health {
+func newHealth(backends []*backend, cfg ProbeConfig, transport http.RoundTripper) *health {
 	cfg = cfg.withDefaults()
-	h := &health{
-		cfg:    cfg,
-		client: &http.Client{Timeout: cfg.Timeout, Transport: transport},
-		states: make(map[string]*backendState, len(backends)),
-	}
 	for _, b := range backends {
-		h.states[b] = &backendState{healthy: true}
+		b.healthy = true
 	}
-	return h
+	return &health{
+		cfg:      cfg,
+		client:   &http.Client{Timeout: cfg.Timeout, Transport: transport},
+		backends: backends,
+	}
 }
-
-// healthy reports whether the backend is currently admitted.
-func (h *health) healthy(backend string) bool { return h.state(backend).healthy }
 
 // reportFailure records one failed interaction (probe or passive proxy
 // transport error) and ejects at the threshold.
-func (h *health) reportFailure(backend string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	st, ok := h.states[backend]
-	if !ok {
-		return
-	}
-	st.fails++
-	if st.healthy && st.fails >= h.cfg.FailAfter {
-		st.healthy = false
-		st.ejections++
-		st.backoff = h.cfg.Interval
-		st.nextProbe = time.Now().Add(st.backoff)
-	} else if !st.healthy {
+func (h *health) reportFailure(b *backend) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.fails++
+	if b.healthy && b.fails >= h.cfg.FailAfter {
+		b.healthy = false
+		b.ejections++
+		b.backoff = h.cfg.Interval
+		b.nextProbe = time.Now().Add(b.backoff)
+	} else if !b.healthy {
 		// Every failed re-probe doubles the backoff up to the cap.
-		st.backoff *= 2
-		if st.backoff > h.cfg.MaxBackoff {
-			st.backoff = h.cfg.MaxBackoff
-		}
-		st.nextProbe = time.Now().Add(st.backoff)
+		b.backoff = min(2*b.backoff, h.cfg.MaxBackoff)
+		b.nextProbe = time.Now().Add(b.backoff)
 	}
 }
 
 // reportSuccess records one successful interaction, re-admitting an
 // ejected backend.
-func (h *health) reportSuccess(backend string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	st, ok := h.states[backend]
-	if !ok {
-		return
-	}
-	st.fails = 0
-	st.backoff = 0
-	st.nextProbe = time.Time{}
-	st.healthy = true
+func (h *health) reportSuccess(b *backend) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.fails = 0
+	b.backoff = 0
+	b.nextProbe = time.Time{}
+	b.healthy = true
 }
 
 // due returns the backends whose next probe is due now.
-func (h *health) due(now time.Time) []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var out []string
-	for b, st := range h.states {
-		if st.healthy || !now.Before(st.nextProbe) {
+func (h *health) due(now time.Time) []*backend {
+	var out []*backend
+	for _, b := range h.backends {
+		b.mu.Lock()
+		if b.healthy || !now.Before(b.nextProbe) {
 			out = append(out, b)
 		}
+		b.mu.Unlock()
 	}
 	return out
 }
 
-// state returns a copy of one backend's record (the zero record for a
-// backend the gateway does not know).
-func (h *health) state(backend string) backendState {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if st, ok := h.states[backend]; ok {
-		return *st
-	}
-	return backendState{}
-}
-
 // probe performs one readiness check: any 2xx is healthy.
-func (h *health) probe(ctx context.Context, backend string) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, backend+h.cfg.Path, nil)
+func (h *health) probe(ctx context.Context, b *backend) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+h.cfg.Path, nil)
 	if err != nil {
-		h.reportFailure(backend)
+		h.reportFailure(b)
 		return
 	}
 	resp, err := h.client.Do(req)
 	if err != nil {
-		h.reportFailure(backend)
+		h.reportFailure(b)
 		return
 	}
 	resp.Body.Close()
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-		h.reportSuccess(backend)
+		h.reportSuccess(b)
 	} else {
-		h.reportFailure(backend)
+		h.reportFailure(b)
 	}
 }
 
@@ -193,10 +151,10 @@ func (h *health) run(ctx context.Context) {
 		var wg sync.WaitGroup
 		for _, b := range h.due(time.Now()) {
 			wg.Add(1)
-			go func(b string) {
+			go func() {
 				defer wg.Done()
 				h.probe(ctx, b)
-			}(b)
+			}()
 		}
 		wg.Wait()
 		select {

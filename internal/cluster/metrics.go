@@ -12,34 +12,19 @@ import (
 	"pslocal/internal/obs"
 )
 
-// gatewayMetrics owns the registry and the hot-path handles.
+// gatewayMetrics owns the registry and the gateway-wide counters; each
+// backend record holds its own proxy-path handles.
 type gatewayMetrics struct {
 	reg *obs.Registry
 
 	requests *obs.Counter // all requests, any endpoint
 	rerouted *obs.Counter // attempts routed past the first candidate
 	failures *obs.Counter // requests answered 4xx/5xx or given up on
-
-	// backends holds each backend's proxy-path handles, keyed by URL;
-	// the set is fixed at construction, so lookups need no lock.
-	backends map[string]*backendMetrics
-}
-
-// backendMetrics are one backend's proxy-path handles.
-type backendMetrics struct {
-	proxy   *obs.Histogram // every upstream attempt's latency
-	retries *obs.Counter   // attempts it failed or declined (the request moved on)
-	// failovers counts job lookups it answered 404 while later
-	// candidates remained: the id scan moving on, not a failure. Its
-	// family name must not start with cfgate_backend_retries_total,
-	// which the serving benchmark sums by prefix.
-	failovers *obs.Counter
-	proxied   *obs.Counter // requests it answered
 }
 
 // newGatewayMetrics builds the registry over the gateway's fixed backend
-// set; the func-backed series read health and load state at scrape
-// time.
+// set, filling each record's handles; the func-backed series read the
+// records at scrape time.
 func newGatewayMetrics(g *Gateway) *gatewayMetrics {
 	reg := obs.NewRegistry()
 	m := &gatewayMetrics{
@@ -47,36 +32,41 @@ func newGatewayMetrics(g *Gateway) *gatewayMetrics {
 		requests: reg.Counter("cfgate_requests_total", "HTTP requests received, any endpoint."),
 		rerouted: reg.Counter("cfgate_rerouted_total", "Proxy attempts routed past the first candidate."),
 		failures: reg.Counter("cfgate_failures_total", "Requests answered 4xx/5xx or exhausted every candidate."),
-		backends: make(map[string]*backendMetrics),
 	}
 	reg.GaugeFunc("cfgate_policy_info", "The routing policy in force (always 1).",
 		func() float64 { return 1 }, obs.L("policy", string(g.cfg.Policy)))
-	for _, backend := range g.ring.Backends() {
-		label := obs.L("backend", backend)
-		m.backends[backend] = &backendMetrics{
-			proxy: reg.Histogram("cfgate_proxy_duration_seconds",
-				"Upstream attempt latency by backend.", label),
-			retries: reg.Counter("cfgate_backend_retries_total",
-				"Attempts this backend failed or declined (the request moved on).", label),
-			failovers: reg.Counter("cfgate_job_lookup_failovers_total",
-				"Job lookups this backend answered 404 while the gateway tried the next backend.", label),
-			proxied: reg.Counter("cfgate_backend_proxied_total", "Requests this backend answered.", label),
-		}
+	for _, b := range g.backends {
+		label := obs.L("backend", b.url)
+		b.proxy = reg.Histogram("cfgate_proxy_duration_seconds",
+			"Upstream attempt latency by backend.", label)
+		b.retries = reg.Counter("cfgate_backend_retries_total",
+			"Attempts this backend failed or declined (the request moved on).", label)
+		b.failovers = reg.Counter("cfgate_job_lookup_failovers_total",
+			"Job lookups this backend answered 404 while the gateway tried the next backend.", label)
+		b.proxied = reg.Counter("cfgate_backend_proxied_total", "Requests this backend answered.", label)
 		reg.GaugeFunc("cfgate_backend_healthy", "Whether the backend is admitted (1) or ejected (0).",
 			func() float64 {
-				if g.hlth.healthy(backend) {
+				if b.admitted() {
 					return 1
 				}
 				return 0
 			}, label)
 		reg.GaugeFunc("cfgate_backend_consecutive_failures", "Consecutive failed probes or proxy attempts.",
-			func() float64 { return float64(g.hlth.state(backend).fails) }, label)
+			func() float64 {
+				b.mu.Lock()
+				defer b.mu.Unlock()
+				return float64(b.fails)
+			}, label)
 		reg.CounterFunc("cfgate_backend_ejections_total", "Healthy-to-ejected transitions.",
-			func() float64 { return float64(g.hlth.state(backend).ejections) }, label)
+			func() float64 {
+				b.mu.Lock()
+				defer b.mu.Unlock()
+				return float64(b.ejections)
+			}, label)
 		reg.GaugeFunc("cfgate_backend_inflight", "Requests currently proxied to the backend.",
-			func() float64 { return float64(g.loads.load(backend)) }, label)
+			func() float64 { return float64(b.inflight.Load()) }, label)
 	}
 	reg.GaugeFunc("cfgate_healthy_backends", "Backends currently admitted for routing.",
-		func() float64 { return float64(len(g.bal.healthyBackends())) })
+		func() float64 { return float64(len(g.healthyBackends())) })
 	return m
 }

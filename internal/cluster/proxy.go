@@ -19,10 +19,12 @@ import (
 	"log/slog"
 	"net/http"
 	"net/textproto"
+	"net/url"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pslocal/internal/graphio"
@@ -66,35 +68,37 @@ type Config struct {
 // Gateway routes requests across the configured backends. Construct
 // with New, start probing with Run, serve through ServeHTTP.
 type Gateway struct {
-	cfg    Config
-	ring   *Ring
-	hlth   *health
-	bal    *balancer
-	loads  *loadTracker
-	client *http.Client
-	mux    *http.ServeMux
-	start  time.Time
-	logger *slog.Logger
+	cfg  Config
+	ring *Ring
+	// backends holds one record per backend in the ring's sorted order,
+	// so the ring's order indexes it directly.
+	backends []*backend
+	hlth     *health
+	rr       atomic.Uint64 // round-robin cursor
+	client   *http.Client
+	mux      *http.ServeMux
+	start    time.Time
+	logger   *slog.Logger
 
-	// met owns the request counters and the per-backend proxy series
-	// GET /metrics serves. Built after the ring in New.
+	// met owns the gateway-wide request counters GET /metrics serves.
+	// Built after the backend records in New.
 	met *gatewayMetrics
 }
 
 // New validates cfg and builds the gateway.
 func New(cfg Config) (*Gateway, error) {
-	var backends []string
+	var urls []string
 	for _, b := range cfg.Backends {
 		b = strings.TrimRight(strings.TrimSpace(b), "/")
 		if b == "" {
 			continue
 		}
-		if !strings.HasPrefix(b, "http://") && !strings.HasPrefix(b, "https://") {
-			return nil, fmt.Errorf("cluster: backend %q is not an http(s) URL", b)
+		if u, err := url.Parse(b); err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+			return nil, fmt.Errorf("cluster: backend %q is not an http(s) URL with a host", b)
 		}
-		backends = append(backends, b)
+		urls = append(urls, b)
 	}
-	if len(backends) == 0 {
+	if len(urls) == 0 {
 		return nil, errors.New("cluster: no backends configured")
 	}
 	policy, ok := ParsePolicy(string(cfg.Policy))
@@ -108,23 +112,24 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 64 << 20
 	}
-	ring := NewRing(backends, cfg.Replicas)
-	hlth := newHealth(ring.Backends(), cfg.Probe, cfg.Transport)
-	loads := newLoadTracker(ring.Backends())
+	ring := NewRing(urls, cfg.Replicas)
+	backends := make([]*backend, len(ring.names))
+	for i, name := range ring.names {
+		backends[i] = &backend{url: name}
+	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.Default()
 	}
 	g := &Gateway{
-		cfg:    cfg,
-		ring:   ring,
-		hlth:   hlth,
-		loads:  loads,
-		bal:    &balancer{ring: ring, health: hlth, loads: loads, saturation: int64(cfg.BackendInflight)},
-		client: &http.Client{Transport: cfg.Transport}, // no client timeout: solves are long; contexts bound them
-		mux:    http.NewServeMux(),
-		start:  time.Now(),
-		logger: logger,
+		cfg:      cfg,
+		ring:     ring,
+		backends: backends,
+		hlth:     newHealth(backends, cfg.Probe, cfg.Transport),
+		client:   &http.Client{Transport: cfg.Transport}, // no client timeout: solves are long; contexts bound them
+		mux:      http.NewServeMux(),
+		start:    time.Now(),
+		logger:   logger,
 	}
 	g.met = newGatewayMetrics(g)
 	g.mux.HandleFunc("POST /v1/reduce", g.solveHandler(solver.KindHypergraph))
@@ -221,12 +226,8 @@ func (g *Gateway) solveHandler(kind string) http.HandlerFunc {
 			}
 			return
 		}
-		plan := g.bal.plan(solver.InstanceKey(kind, format.String(), body), g.cfg.Policy)
-		attempts := g.cfg.Retries + 1
-		if attempts > len(plan) {
-			attempts = len(plan)
-		}
-		g.forward(w, r, plan[:attempts], body, nil)
+		plan := g.plan(solver.InstanceKey(kind, format.String(), body), g.cfg.Policy)
+		g.forward(w, r, plan[:min(g.cfg.Retries+1, len(plan))], body, nil)
 	}
 }
 
@@ -238,7 +239,7 @@ func (g *Gateway) solveHandler(kind string) http.HandlerFunc {
 // one, the scan finds the runner), and every healthy backend is tried
 // before giving up.
 func (g *Gateway) handleJobByID(w http.ResponseWriter, r *http.Request) {
-	plan := g.bal.plan(r.PathValue("id"), PolicyAffinity)
+	plan := g.plan(r.PathValue("id"), PolicyAffinity)
 	notFound := func(resp *http.Response) bool { return resp.StatusCode == http.StatusNotFound }
 	g.forward(w, r, plan, nil, notFound)
 }
@@ -280,18 +281,60 @@ func copyClientHeaders(dst, src http.Header) {
 	}
 }
 
+// upstream sends r to b: every request the gateway makes to a backend,
+// forwarded or fanned out, goes through here. It carries r's method,
+// path, query and end-to-end headers and the given body (nil: none),
+// counts the request in b's in-flight gauge until the caller closes the
+// response body, times the attempt, and reports a transport failure to
+// the prober unless the client went away first.
+func (g *Gateway) upstream(r *http.Request, b *backend, body []byte) (*http.Response, error) {
+	var reqBody io.Reader
+	if body != nil {
+		reqBody = bytes.NewReader(body)
+	}
+	target := b.url + r.URL.EscapedPath()
+	if r.URL.RawQuery != "" {
+		target += "?" + r.URL.RawQuery
+	}
+	req, err := http.NewRequestWithContext(r.Context(), r.Method, target, reqBody)
+	if err != nil {
+		return nil, err
+	}
+	copyClientHeaders(req.Header, r.Header)
+	b.inflight.Add(1)
+	start := time.Now()
+	resp, err := g.client.Do(req)
+	b.proxy.Observe(time.Since(start))
+	if err != nil {
+		b.inflight.Add(-1)
+		if r.Context().Err() == nil {
+			g.hlth.reportFailure(b)
+		}
+		return nil, err
+	}
+	resp.Body = &inflightBody{ReadCloser: resp.Body, b: b}
+	return resp, nil
+}
+
+// inflightBody lowers its backend's in-flight count on the first Close.
+type inflightBody struct {
+	io.ReadCloser
+	b      *backend
+	closed atomic.Bool
+}
+
+func (ib *inflightBody) Close() error {
+	if !ib.closed.Swap(true) {
+		ib.b.inflight.Add(-1)
+	}
+	return ib.ReadCloser.Close()
+}
+
 // forward walks the attempt plan: transport failures eject passively
 // and move on, retryable statuses reroute, 404s reroute when skipNext
 // says so, and the first real answer streams back to the client tagged
 // with its backend. A nil body means "no body to resend" (GET/DELETE).
-// The client's end-to-end headers ride along on every attempt.
-func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, plan []string, body []byte, skipNext func(*http.Response) bool) {
-	if len(plan) == 0 {
-		g.met.failures.Inc()
-		w.Header().Set("Retry-After", "1")
-		g.writeError(w, http.StatusServiceUnavailable, errors.New("cluster: no backends available"))
-		return
-	}
+func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, plan []*backend, body []byte, skipNext func(*http.Response) bool) {
 	started := time.Now()
 	var lastStatus int
 	var lastResp *http.Response
@@ -303,40 +346,18 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, plan []string,
 		}
 	}
 	defer closeLast()
-	for i, backend := range plan {
+	for i, b := range plan {
 		if i > 0 {
 			g.met.rerouted.Inc()
 		}
-		release := g.loads.acquire(backend)
-		var reqBody io.Reader
-		if body != nil {
-			reqBody = bytes.NewReader(body)
-		}
-		target := backend + r.URL.Path
-		if r.URL.RawQuery != "" {
-			target += "?" + r.URL.RawQuery
-		}
-		req, err := http.NewRequestWithContext(r.Context(), r.Method, target, reqBody)
+		resp, err := g.upstream(r, b, body)
 		if err != nil {
-			release()
-			g.met.failures.Inc()
-			g.writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		copyClientHeaders(req.Header, r.Header)
-		bm := g.met.backends[backend]
-		attemptStart := time.Now()
-		resp, err := g.client.Do(req)
-		bm.proxy.Observe(time.Since(attemptStart))
-		if err != nil {
-			release()
 			// The client went away: not the backend's fault, stop here.
 			if r.Context().Err() != nil {
 				g.met.failures.Inc()
 				return
 			}
-			g.hlth.reportFailure(backend)
-			bm.retries.Inc()
+			b.retries.Inc()
 			lastStatus = http.StatusBadGateway
 			continue
 		}
@@ -348,19 +369,17 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, plan []string,
 			closeLast()
 			lastStatus = resp.StatusCode
 			lastResp = resp
-			release()
 			if retryable {
-				bm.retries.Inc()
+				b.retries.Inc()
 			} else {
-				bm.failovers.Inc()
+				b.failovers.Inc()
 			}
 			continue
 		}
-		g.hlth.reportSuccess(backend)
-		bm.proxied.Inc()
-		g.copyResponse(w, resp, backend)
-		release()
-		g.logSlow(r, backend, time.Since(started))
+		g.hlth.reportSuccess(b)
+		b.proxied.Inc()
+		g.copyResponse(w, resp, b.url)
+		g.logSlow(r, b.url, time.Since(started))
 		return
 	}
 	// Every candidate failed or declined. Relay the last declined
@@ -381,9 +400,11 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, plan []string,
 	g.writeError(w, status, errors.New("cluster: all backends failed"))
 }
 
-// copyResponse relays resp to the client, flushing per write so SSE
-// streams pass through live. backend tags the response ("" leaves the
-// header off for synthesized relays).
+// copyResponse relays resp to the client. backend tags the response (""
+// leaves the header off for synthesized relays). Only an event stream
+// is flushed per write, so its events pass through live; any other body
+// goes through the server's buffers, whose remainder leaves when the
+// handler returns, after resp's close has lowered the in-flight count.
 func (g *Gateway) copyResponse(w http.ResponseWriter, resp *http.Response, backend string) {
 	defer resp.Body.Close()
 	h := w.Header()
@@ -394,8 +415,11 @@ func (g *Gateway) copyResponse(w http.ResponseWriter, resp *http.Response, backe
 		h.Set(HeaderBackend, backend)
 	}
 	w.WriteHeader(resp.StatusCode)
-	var dst io.Writer = w
-	if f, ok := w.(http.Flusher); ok {
+	// w's ReadFrom would flush after the first 512 bytes (and, under a
+	// Content-Length, write the rest straight to the connection); hiding
+	// it keeps the body in the server's buffers.
+	var dst io.Writer = struct{ io.Writer }{w}
+	if f, ok := w.(http.Flusher); ok && strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
 		dst = &flushWriter{w: w, f: f}
 	}
 	io.Copy(dst, resp.Body)
@@ -418,54 +442,50 @@ func (fw *flushWriter) Write(p []byte) (int, error) {
 // merges the answers, deduplicating by job id (a job may be visible on
 // several nodes through a shared store — the first answer wins). Each
 // backend applies the query's limit to its own list, so the merge is
-// cut to it again.
+// cut to it again. When no backend lists, a backend's 4xx (a query
+// every node rejects alike) is relayed; otherwise the answer is 502.
 func (g *Gateway) handleJobList(w http.ResponseWriter, r *http.Request) {
-	backends := g.bal.healthyBackends()
+	backends := g.healthyBackends()
 	if len(backends) == 0 {
-		backends = g.ring.Backends()
+		backends = g.backends
 	}
 	type listResp struct {
-		backend string
-		jobs    []json.RawMessage
-		err     error
+		listed bool
+		jobs   []json.RawMessage
+		// rejected is a 4xx answer, its body read into memory.
+		rejected *http.Response
 	}
 	results := make([]listResp, len(backends))
 	var wg sync.WaitGroup
-	for i, backend := range backends {
+	for i, b := range backends {
 		wg.Add(1)
-		go func(i int, backend string) {
+		go func() {
 			defer wg.Done()
-			target := backend + r.URL.Path
-			if r.URL.RawQuery != "" {
-				target += "?" + r.URL.RawQuery
-			}
-			req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, target, nil)
+			resp, err := g.upstream(r, b, nil)
 			if err != nil {
-				results[i] = listResp{backend: backend, err: err}
-				return
-			}
-			resp, err := g.client.Do(req)
-			if err != nil {
-				g.hlth.reportFailure(backend)
-				results[i] = listResp{backend: backend, err: err}
 				return
 			}
 			defer resp.Body.Close()
 			if resp.StatusCode != http.StatusOK {
-				io.Copy(io.Discard, resp.Body)
-				results[i] = listResp{backend: backend, err: fmt.Errorf("status %d", resp.StatusCode)}
+				body, err := io.ReadAll(resp.Body)
+				if err == nil && resp.StatusCode >= 400 && resp.StatusCode < 500 {
+					results[i].rejected = &http.Response{
+						StatusCode: resp.StatusCode,
+						Header:     resp.Header,
+						Body:       io.NopCloser(bytes.NewReader(body)),
+					}
+				}
 				return
 			}
 			var doc struct {
 				Jobs []json.RawMessage `json:"jobs"`
 			}
 			if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-				results[i] = listResp{backend: backend, err: err}
 				return
 			}
-			g.hlth.reportSuccess(backend)
-			results[i] = listResp{backend: backend, jobs: doc.Jobs}
-		}(i, backend)
+			g.hlth.reportSuccess(b)
+			results[i] = listResp{listed: true, jobs: doc.Jobs}
+		}()
 	}
 	wg.Wait()
 
@@ -473,7 +493,7 @@ func (g *Gateway) handleJobList(w http.ResponseWriter, r *http.Request) {
 	var merged []json.RawMessage
 	answered := 0
 	for _, res := range results {
-		if res.err != nil {
+		if !res.listed {
 			continue
 		}
 		answered++
@@ -492,6 +512,12 @@ func (g *Gateway) handleJobList(w http.ResponseWriter, r *http.Request) {
 	}
 	if answered == 0 {
 		g.met.failures.Inc()
+		for _, res := range results {
+			if res.rejected != nil {
+				g.copyResponse(w, res.rejected, "")
+				return
+			}
+		}
 		g.writeError(w, http.StatusBadGateway, errors.New("cluster: no backend answered the list"))
 		return
 	}
@@ -514,7 +540,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // handleReadyz reports readiness: at least one healthy backend.
 func (g *Gateway) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	healthy := g.bal.healthyBackends()
+	healthy := g.healthyBackends()
 	w.Header().Set("Content-Type", "application/json")
 	if len(healthy) == 0 {
 		w.WriteHeader(http.StatusServiceUnavailable)

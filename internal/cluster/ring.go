@@ -100,11 +100,11 @@ func (r *Ring) Backends() []string {
 
 // Owner returns the backend owning key ("" on an empty ring).
 func (r *Ring) Owner(key string) string {
-	c := r.Candidates(key)
-	if len(c) == 0 {
+	order := r.order(key)
+	if len(order) == 0 {
 		return ""
 	}
-	return c[0]
+	return r.names[order[0]]
 }
 
 // Candidates returns every backend in ring order starting at key's
@@ -112,20 +112,30 @@ func (r *Ring) Owner(key string) string {
 // request walks when earlier candidates are ejected or saturated. The
 // slice is freshly allocated and covers all backends.
 func (r *Ring) Candidates(key string) []string {
+	var out []string
+	for _, i := range r.order(key) {
+		out = append(out, r.names[i])
+	}
+	return out
+}
+
+// order is Candidates as indexes into the sorted names, which is also
+// the order of the gateway's backend records.
+func (r *Ring) order(key string) []int {
 	if len(r.points) == 0 {
 		return nil
 	}
 	h := hashString(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, len(r.names))
-	seen := make(map[int]bool, len(r.names))
+	out := make([]int, 0, len(r.names))
+	seen := make([]bool, len(r.names))
 	for i := 0; len(out) < len(r.names) && i < len(r.points); i++ {
 		p := r.points[(start+i)%len(r.points)]
 		if seen[p.backend] {
 			continue
 		}
 		seen[p.backend] = true
-		out = append(out, r.names[p.backend])
+		out = append(out, p.backend)
 	}
 	return out
 }

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -309,6 +310,46 @@ func TestWatchAndCancelAdoptPeerJob(t *testing.T) {
 				t.Errorf("adopted %d and started %d, want the job adopted once and not run", st.Adopted, st.Started)
 			}
 		})
+	}
+}
+
+// TestPeerAdoptsFullSnapshotAfterAwait: once a job's terminal event has
+// fired on the manager that ran it, its metadata document is in the
+// store, so a peer that looks the id up adopts the full snapshot (label,
+// params, request id) and not a stripped one built from the result
+// document alone. Every try is a fresh job the peer has never seen.
+func TestPeerAdoptsFullSnapshotAfterAwait(t *testing.T) {
+	dir := t.TempDir()
+	runner := newManager(t, Config{Dir: dir, Workers: 1})
+	peer := newManager(t, Config{Dir: dir, Workers: 1})
+	body := testBody(t, 60)
+	ctx := awaitCtx(t)
+	const tries = 200
+	stripped := 0
+	for i := range tries {
+		req := Request{
+			Body:      body,
+			Params:    Params{K: 2, Seed: int64(i + 1)},
+			Label:     "try-" + strconv.Itoa(i),
+			RequestID: "peer-rid-" + strconv.Itoa(i),
+		}
+		info, _, err := runner.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final, err := runner.Await(ctx, info.ID); err != nil || final.State != StateDone {
+			t.Fatalf("try %d: %+v / %v", i, final, err)
+		}
+		got, err := peer.Get(info.ID)
+		if err != nil {
+			t.Fatalf("try %d: peer Get: %v", i, err)
+		}
+		if got.Label != req.Label || got.Params != req.Params || got.RequestID != req.RequestID {
+			stripped++
+		}
+	}
+	if stripped > 0 {
+		t.Fatalf("%d of %d peer lookups after Await adopted a stripped job", stripped, tries)
 	}
 }
 

@@ -289,16 +289,23 @@ func (m *Manager) enqueueLocked(j *job, id string, req Request, f graphio.Format
 }
 
 // finishLocked moves j to a terminal state: it records the outcome,
-// drops the request body, counts the outcome, ends the run's share of
-// the active count and publishes. Terminal jobs stop pinning their body
-// (a resubmission brings a fresh one); without that, a long-lived
+// drops the request body, writes the metadata document if durable,
+// counts the outcome, ends the run's share of the active count and
+// publishes. The document lands before the publish, so a peer that
+// looks the id up after the terminal event adopts the full snapshot;
+// the write is best effort, since a metadata failure must not fail a
+// job whose result is already durable. Terminal jobs stop pinning their
+// body (a resubmission brings a fresh one); without that, a long-lived
 // manager would hold every body, up to the server's body cap each,
 // forever. Callers hold j.mu.
-func (m *Manager) finishLocked(j *job, state State, errMsg string, at time.Time) {
+func (m *Manager) finishLocked(j *job, state State, errMsg string, at time.Time, durable bool) {
 	j.info.State = state
 	j.info.Error = errMsg
 	j.info.FinishedAt = at
 	j.req.Body = nil
+	if durable && m.store != nil {
+		_ = m.store.writeJob(j.info)
+	}
 	switch state {
 	case StateDone:
 		m.met.completed.Add(1)
@@ -409,10 +416,9 @@ func (m *Manager) Cancel(id string) (Info, error) {
 		// the removal and the transition.
 		m.queue.remove(j)
 		j.cancelRequested = true
-		m.finishLocked(j, StateCancelled, "cancelled before running", time.Now())
+		m.finishLocked(j, StateCancelled, "cancelled before running", time.Now(), true)
 		info := j.info
 		j.mu.Unlock()
-		m.persist(info)
 		return info, nil
 	case StateRunning:
 		j.cancelRequested = true
@@ -583,7 +589,7 @@ func (m *Manager) Close() {
 	for _, j := range jobs {
 		j.mu.Lock()
 		if j.info.State == StateQueued {
-			m.finishLocked(j, StateCancelled, "manager closed", time.Now())
+			m.finishLocked(j, StateCancelled, "manager closed", time.Now(), false)
 		}
 		j.mu.Unlock()
 	}
@@ -608,14 +614,6 @@ func (m *Manager) lookup(id string) (*job, error) {
 		}
 	}
 	return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
-}
-
-// persist writes the terminal metadata document, best effort: a metadata
-// write failure must not fail a job whose result is already durable.
-func (m *Manager) persist(info Info) {
-	if m.store != nil {
-		_ = m.store.writeJob(info)
-	}
 }
 
 // publishLocked delivers the job's current state to every subscriber
@@ -745,14 +743,9 @@ func (m *Manager) run(j *job) {
 	// so a watcher woken by that event never reads a stale running count.
 	m.met.running.Add(-1)
 	m.met.finished.Add(1)
-	m.finishLocked(j, state, errMsg, finished)
-	info := j.info
-	j.mu.Unlock()
-
 	// Shutdown interruptions stay unpersisted (see Close); every other
 	// terminal state is durable.
-	if m.closed.Load() && err != nil && !cancelRequested && errors.Is(err, solver.ErrCancelled) {
-		return
-	}
-	m.persist(info)
+	interrupted := m.closed.Load() && err != nil && !cancelRequested && errors.Is(err, solver.ErrCancelled)
+	m.finishLocked(j, state, errMsg, finished, !interrupted)
+	j.mu.Unlock()
 }

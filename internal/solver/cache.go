@@ -23,35 +23,25 @@ package solver
 import (
 	"container/list"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"sync"
 	"sync/atomic"
 
 	"pslocal/internal/obs"
 )
 
-// cacheKey derives the cache key for an instance body: the substrate kind
-// and requested format are part of the key because the same bytes could
-// in principle parse differently under different format directives.
-func cacheKey(kind, format string, body []byte) string {
-	h := sha256.New()
-	h.Write([]byte(kind))
-	h.Write([]byte{0})
-	h.Write([]byte(format))
-	h.Write([]byte{0})
-	h.Write(body)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // InstanceKey derives the instance-cache key SolveReader and MaxISReader
-// would compute for body: the hex sha256 over the substrate kind
+// compute for body: the hex sha256 over the substrate kind
 // (KindHypergraph for the reduction endpoints, KindGraph for MaxIS), the
 // canonical format directive (graphio.Format.String()), and the raw
-// bytes. cfgate routes on it, so one instance always lands on the
-// backend whose cache holds it.
+// bytes — the kind and format are part of the key because the same
+// bytes could parse differently under different directives. It runs
+// through the readers' own pooled scratch, so the two cannot drift.
+// cfgate routes on it, so one instance always lands on the backend
+// whose cache holds it.
 func InstanceKey(kind, format string, body []byte) string {
-	return cacheKey(kind, format, body)
+	sc := grabServeScratch()
+	defer releaseServeScratch(sc)
+	return string(sc.key(kind, format, body))
 }
 
 // The Instance.Kind spellings, which are also the kind argument of

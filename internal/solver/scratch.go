@@ -71,8 +71,8 @@ func (sc *serveScratch) readAll(r io.Reader) ([]byte, error) {
 }
 
 // key computes the instance cache key — hex sha256 of
-// kind\0format\0body, matching cacheKey — into the scratch's fixed
-// arrays and returns the hex bytes.
+// kind\0format\0body, the one derivation InstanceKey also runs — into
+// the scratch's fixed arrays and returns the hex bytes.
 func (sc *serveScratch) key(kind, format string, body []byte) []byte {
 	if sc.hash == nil {
 		sc.hash = sha256.New()

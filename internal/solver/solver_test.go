@@ -3,6 +3,8 @@ package solver
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -595,14 +597,24 @@ func TestCacheEviction(t *testing.T) {
 
 func TestCacheKeySeparatesKindAndFormat(t *testing.T) {
 	body := []byte("graph 2 1\n0 1\n")
+	// A kind and format too long for the scratch's staged prefix take
+	// its other branch, which must hash the same bytes.
+	long := strings.Repeat("f", 80)
 	keys := map[string]bool{
-		cacheKey("graph", "edgelist", body):                        true,
-		cacheKey("hypergraph", "edgelist", body):                   true,
-		cacheKey("graph", "auto", body):                            true,
-		cacheKey("graph", "edgelist", []byte("graph 2 1\n0 1\n ")): true,
+		InstanceKey("graph", "edgelist", body):                        true,
+		InstanceKey("hypergraph", "edgelist", body):                   true,
+		InstanceKey("graph", "auto", body):                            true,
+		InstanceKey("graph", "edgelist", []byte("graph 2 1\n0 1\n ")): true,
+		InstanceKey("graph", long, body):                              true,
 	}
-	if len(keys) != 4 {
-		t.Errorf("cache keys collide: %d distinct, want 4", len(keys))
+	if len(keys) != 5 {
+		t.Errorf("cache keys collide: %d distinct, want 5", len(keys))
+	}
+	for _, format := range []string{"edgelist", long} {
+		sum := sha256.Sum256([]byte("graph\x00" + format + "\x00" + string(body)))
+		if got, want := InstanceKey("graph", format, body), hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("InstanceKey(graph, %d-byte format) = %s, want sha256 %s", len(format), got, want)
+		}
 	}
 }
 

@@ -12,11 +12,13 @@
 #      cache-hit ratio (the point of content-hash routing). The shared
 #      store carries phase-1 jobs over: the fresh fleet adopts them and
 #      serves them by id through the gateway, and a node that did not
-#      run a job streams its events and accepts its DELETE.
+#      run a job streams its events and accepts its DELETE. A malformed
+#      list query answers the backends' 400 through the gateway.
 #   3. Drain: fire a paced burst at the affinity gateway and SIGTERM one
 #      backend mid-burst. The gateway must reroute (cfgate_rerouted_total
-#      > 0 on its /metrics), the killed node must drain and exit 0, and
-#      the client must see zero failed requests.
+#      > 0 on its /metrics), the killed node must drain and exit 0, the
+#      client must see zero failed requests, and afterwards every
+#      cfgate_backend_inflight series must read 0.
 #
 # Pass/fail only; it writes no benchmark numbers (perfbench is the
 # serving benchmark). Usage: scripts/clustersmoke.sh
@@ -96,6 +98,14 @@ curl -fsS "http://$gate/v1/jobs" > "$work/jobs.json"
 jq -e '.count > 0' "$work/jobs.json" >/dev/null
 id=$(jq -r '.jobs[0].job.id' "$work/jobs.json")
 curl -fsS "http://$gate/v1/jobs/$id" | jq -e '.job.state == "done"' >/dev/null
+# A list query every node rejects is the client's error: the gateway
+# relays the backends' 400, not a 502.
+code=$(curl -sS -o "$work/badlimit.json" -w '%{http_code}' "http://$gate/v1/jobs?limit=abc")
+if [ "$code" != 400 ]; then
+  echo "clustersmoke: GET /v1/jobs?limit=abc through the gateway answered $code, want 400" >&2
+  exit 1
+fi
+jq -e '.error | length > 0' "$work/badlimit.json" >/dev/null
 
 # Every id lookup reads the shared store, not only GET: once a fresh
 # job's runner (named by X-Pslocal-Backend) has finished it, each other
@@ -169,6 +179,13 @@ curl -fsS "http://$gate/metrics" > "$work/gatemetrics.txt"
 awk '$1 == "cfgate_rerouted_total" && $2 > 0 { ok = 1 } END { exit !ok }' "$work/gatemetrics.txt"
 awk '$1 == "cfgate_policy_info{policy=\"affinity\"}" && $2 == 1 { ok = 1 } END { exit !ok }' \
   "$work/gatemetrics.txt"
+# Every request has answered, so no backend has one in flight.
+if ! awk '$1 ~ /^cfgate_backend_inflight\{/ { n++; if ($2 != 0) bad = 1 } END { exit !(n == 3 && !bad) }' \
+  "$work/gatemetrics.txt"; then
+  echo "clustersmoke: cfgate_backend_inflight is not 0 on every backend after the burst" >&2
+  grep '^cfgate_backend_inflight' "$work/gatemetrics.txt" >&2
+  exit 1
+fi
 # The gateway is still ready on the surviving nodes.
 curl -fsS "http://$gate/readyz" >/dev/null
 echo "cluster smoke passed"
