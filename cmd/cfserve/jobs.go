@@ -6,7 +6,8 @@ package main
 // id immediately; clients poll GET /v1/jobs/{id}, stream transitions from
 // GET /v1/jobs/{id}/events (SSE), list with GET /v1/jobs, and cancel
 // cooperatively with DELETE /v1/jobs/{id}. Job bodies take the same
-// formats and query parameters as /v1/reduce, plus priority, deadline_ms,
+// formats as /v1/reduce, and their solve parameters go through the same
+// parser (parseSolve) with the same defaults, plus priority, deadline_ms,
 // max_retries and label.
 
 import (
@@ -40,46 +41,30 @@ func jobEnvelope(info pslocal.JobInfo) jobResponse {
 // handleJobSubmit enqueues the posted instance as a job and returns its
 // id without waiting: 202 for a new job, 200 when the content hash
 // dedupes onto an existing one, 503 (with Retry-After) at the queue
-// bound.
+// bound. The solve parameters go through parseSolve and reach the
+// manager fully resolved, so every spelling of one request is one job id.
 func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.refuseDraining(w) {
 		return
 	}
 	q := r.URL.Query()
-	params := pslocal.JobParams{}
-	k, err := intParam(q.Get("k"), 0)
-	if err != nil || k < 0 {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad k parameter %q (want a positive integer)", q.Get("k")))
-		return
-	}
-	params.K = k
-	params.Oracle = q.Get("oracle")
-	workers, err := intParam(q.Get("workers"), 0)
+	p, err := s.parseSolve(q, false)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad workers parameter %q", q.Get("workers")))
+		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	if workers != 0 {
-		params.Workers = s.clampWorkers(workers)
-	}
-	seed, err := int64Param(q.Get("seed"), 0)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad seed parameter %q", q.Get("seed")))
-		return
-	}
-	params.Seed = seed
 	priority, err := pslocal.ParseJobPriority(q.Get("priority"))
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	deadlineMS, err := int64Param(q.Get("deadline_ms"), 0)
-	if err != nil || deadlineMS < 0 {
+	var deadlineMS int64
+	if err := queryNum(q, "deadline_ms", &deadlineMS); err != nil || deadlineMS < 0 {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad deadline_ms parameter %q", q.Get("deadline_ms")))
 		return
 	}
-	maxRetries, err := intParam(q.Get("max_retries"), 0)
-	if err != nil || maxRetries < 0 {
+	var maxRetries int
+	if err := queryNum(q, "max_retries", &maxRetries); err != nil || maxRetries < 0 {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad max_retries parameter %q", q.Get("max_retries")))
 		return
 	}
@@ -97,8 +82,8 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	info, accepted, err := s.jobs.Submit(pslocal.JobRequest{
 		Body:       body,
-		Format:     q.Get("format"),
-		Params:     params,
+		Format:     p.format.String(),
+		Params:     pslocal.JobParams{K: p.k, Oracle: p.oracle, Seed: p.seed, Workers: p.workers},
 		Priority:   priority,
 		Deadline:   time.Duration(deadlineMS) * time.Millisecond,
 		MaxRetries: maxRetries,
@@ -152,12 +137,10 @@ func (s *server) handleJobList(w http.ResponseWriter, r *http.Request) {
 		}
 		filter.State = state
 	}
-	limit, err := intParam(q.Get("limit"), 0)
-	if err != nil || limit < 0 {
+	if err := queryNum(q, "limit", &filter.Limit); err != nil || filter.Limit < 0 {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad limit parameter %q", q.Get("limit")))
 		return
 	}
-	filter.Limit = limit
 	infos := s.jobs.List(filter)
 	jobs := make([]jobResponse, len(infos))
 	for i, info := range infos {

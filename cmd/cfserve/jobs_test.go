@@ -388,6 +388,7 @@ func TestJobSubmitValidation(t *testing.T) {
 		{"bad deadline", "?deadline_ms=-5"},
 		{"bad retries", "?max_retries=-1"},
 		{"bad k", "?k=-2"},
+		{"zero k", "?k=0"},
 		{"bad format", "?format=xml"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -402,6 +403,110 @@ func TestJobSubmitValidation(t *testing.T) {
 	var got map[string]any
 	if resp := postInstance(t, ts.URL+"/v1/jobs", nil, &got); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty body status = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestDefaultSpellingsAreOneRequest pins the one query parser: every
+// spelling of the default job is one job id, workers=0 resolves to the
+// -max-workers cap on /v1/reduce and /v1/jobs alike, and seed=0 means the
+// server's -seed on the synchronous solves too.
+func TestDefaultSpellingsAreOneRequest(t *testing.T) {
+	_, ts := newTestServer(t) // -max-workers 2, -seed 1
+	body := quickstartBody(t)
+	var first jobResponse
+	for i, query := range []string{"", "?k=3", "?k=3&seed=1", "?k=3&seed=1&workers=1", "?oracle=implicit"} {
+		sub, status := submitJob(t, ts.URL+"/v1/jobs"+query, body)
+		want := http.StatusOK
+		if i == 0 {
+			first, want = sub, http.StatusAccepted
+		}
+		if status != want || sub.Job.ID != first.Job.ID {
+			t.Errorf("submit %q = %d, id %.12s; want %d, id %.12s", query, status, sub.Job.ID, want, first.Job.ID)
+		}
+	}
+	if want := (pslocal.JobParams{K: 3, Oracle: "implicit", Seed: 1, Workers: 1}); first.Job.Params != want {
+		t.Errorf("job params = %+v, want every default explicit: %+v", first.Job.Params, want)
+	}
+
+	var red reduceResponse
+	if resp := postInstance(t, ts.URL+"/v1/reduce?workers=0", body, &red); resp.StatusCode != http.StatusOK || red.Workers != 2 {
+		t.Errorf("/v1/reduce?workers=0 = %d, workers %d; want 200, the cap 2", resp.StatusCode, red.Workers)
+	}
+	sub, status := submitJob(t, ts.URL+"/v1/jobs?workers=0", body)
+	if status != http.StatusAccepted || sub.Job.Params.Workers != 2 {
+		t.Errorf("/v1/jobs?workers=0 = %d, params %+v; want 202, workers the cap 2", status, sub.Job.Params)
+	}
+
+	// greedy-mindeg reads its seed, so seed=0 is answered from seed=1's
+	// stored answer only if it means -seed.
+	graphBody := []byte("graph 4 3\n0 1\n1 2\n2 3\n")
+	for _, tc := range []struct {
+		path string
+		body []byte
+	}{
+		{"/v1/reduce?oracle=greedy-mindeg", body},
+		{"/v1/maxis?oracle=greedy-mindeg", graphBody},
+	} {
+		var out json.RawMessage
+		if resp := postInstance(t, ts.URL+tc.path+"&seed=1", tc.body, &out); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s&seed=1 status %d: %s", tc.path, resp.StatusCode, out)
+		}
+		var again struct {
+			Trace *pslocal.TraceSnapshot `json:"trace"`
+		}
+		if resp := postInstance(t, ts.URL+tc.path+"&seed=0&trace=1", tc.body, &again); resp.StatusCode != http.StatusOK || again.Trace == nil {
+			t.Fatalf("%s&seed=0&trace=1 status %d, trace %v", tc.path, resp.StatusCode, again.Trace)
+		}
+		hit := false
+		for _, sp := range again.Trace.Spans {
+			hit = hit || sp.Name == "answer" && sp.Detail == "hit"
+		}
+		if !hit {
+			t.Errorf("%s&seed=0 solved again: seed 0 is not the server's -seed 1", tc.path)
+		}
+	}
+}
+
+// awaitDoneEvent reads id's event stream until its done event.
+func awaitDoneEvent(t *testing.T, baseURL, id string) {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/v1/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if sc.Text() == "event: "+string(pslocal.JobDone) {
+			return
+		}
+	}
+	t.Fatalf("job %.12s's event stream ended without a done event", id)
+}
+
+// TestInflightZeroAfterJobDone is the jobs half of the gauge audit: a
+// job's solve leaves the admission gate before the manager announces
+// done, so a scrape taken once the done event arrives reads
+// pslocal_inflight 0, whether the job solved or was answered from the
+// answer store.
+func TestInflightZeroAfterJobDone(t *testing.T) {
+	_, ts := newTestServer(t)
+	body := quickstartBody(t)
+	// implicit ignores the seed, so the second job, another id, is
+	// answered from the first job's stored answer.
+	for i, query := range []string{"?seed=1", "?seed=2"} {
+		sub, status := submitJob(t, ts.URL+"/v1/jobs"+query, body)
+		if status != http.StatusAccepted {
+			t.Fatalf("submit %q status %d", query, status)
+		}
+		awaitDoneEvent(t, ts.URL, sub.Job.ID)
+		e := scrape(t, ts.URL)
+		if got := metric(t, e, "pslocal_inflight"); got != 0 {
+			t.Errorf("job %q: pslocal_inflight = %v once done, want 0", query, got)
+		}
+		if got := metric(t, e, "pslocal_answer_hits_total"); got != float64(i) {
+			t.Errorf("job %q: answer hits = %v, want %d", query, got, i)
+		}
 	}
 }
 

@@ -6,11 +6,11 @@
 // Endpoints:
 //
 //	POST   /v1/reduce       conflict-free multicolouring of the posted hypergraph
-//	                        ?k=3&oracle=implicit|exact|<registry name>&workers=N&seed=S&format=auto|edgelist|dimacs|json
+//	                        ?k=3&oracle=implicit|exact|<registry name>&workers=N&seed=S&format=auto|edgelist|dimacs|json&trace=1
 //	POST   /v1/maxis        independent set of the posted graph
-//	                        ?oracle=<registry name>&algorithm=oracle|carving&delta=1.0&workers=N&seed=S&format=...
+//	                        ?oracle=<registry name>&algorithm=oracle|carving&delta=1.0&workers=N&seed=S&format=...&trace=1
 //	POST   /v1/jobs         enqueue the posted hypergraph as an async job, returns the id immediately
-//	                        (same parameters as /v1/reduce, plus priority=low|normal|high,
+//	                        (the /v1/reduce parameters, plus priority=low|normal|high,
 //	                        deadline_ms=N, max_retries=N, label=...)
 //	GET    /v1/jobs/{id}    job state; embeds the result document once done
 //	GET    /v1/jobs         job list, ?state=queued|running|done|failed|cancelled&label=...&limit=N
@@ -24,6 +24,13 @@
 //	GET    /statz           the instance cache counters as JSON (read by the
 //	                        serving benchmark; everything else is on /metrics)
 //	GET    /v1/traces       recent solve traces newest-first, ?limit=N (ring sized by -trace-ring)
+//
+// Solve parameters: one parser reads them for all three solve endpoints
+// and resolves each to an explicit value. Absent, format is auto, k is 3
+// (below 1 is a 400), workers is 1 (0, negative or above -max-workers
+// is the cap), seed is -seed (so is 0), and oracle is implicit, or
+// greedy-mindeg on /v1/maxis under algorithm=oracle. A job's id hashes
+// the resolved values, so every spelling of one request is one job.
 //
 // Observability: ?trace=1 on the solve endpoints embeds the per-phase
 // span tree in the response (a request answered from the answer store
@@ -99,7 +106,7 @@ func run() error {
 		maxInflight  = flag.Int("max-inflight", 0, "concurrent solve bound (0 = GOMAXPROCS)")
 		cacheEntries = flag.Int("cache-entries", 128, "parsed-instance cache capacity")
 		maxBodyMB    = flag.Int64("max-body-mb", 64, "request body cap in MiB")
-		seed         = flag.Int64("seed", 1, "default oracle seed when the request has none")
+		seed         = flag.Int64("seed", 1, "default oracle seed when the request has none (or 0)")
 		jobsDir      = flag.String("jobs-dir", "",
 			"persistent job store directory, rescanned on restart (empty = in-memory only; nodes may share one and adopt each other's terminal jobs)")
 		jobWorkers = flag.Int("job-workers", 0, "job worker pool width (0 = GOMAXPROCS)")

@@ -3,20 +3,22 @@ package main
 // server.go implements the HTTP surface of the reduction service. Two
 // POST endpoints expose the pipeline synchronously — /v1/reduce runs the
 // Theorem 1.1 reduction on a hypergraph, /v1/maxis solves MaxIS on a
-// graph — with the instance format, oracle selection, worker count and
-// seed chosen per request through query parameters; the asynchronous
-// /v1/jobs endpoints (jobs.go) run the same reductions through the job
-// subsystem's queue instead of holding the connection open.
+// graph — and the asynchronous /v1/jobs endpoints (jobs.go) run the same
+// reductions through the job subsystem's queue instead of holding the
+// connection open. All three read the instance format, palette, oracle,
+// worker count and seed through one parser, parseSolve, which resolves
+// every solve parameter to an explicit value, so one request means one
+// solve however it spells its defaults.
 //
-// Both endpoints are served through one shared pslocal.Solver: the server
-// owns no cache or gate of its own. The base Solver (built in newServer)
-// carries the server-wide limits — the parsed-instance cache and the
-// bounded admission gate — and each request derives a per-call variant
-// with Solver.With for its oracle, palette, seed and worker choices; the
-// derived solvers share the base cache and gate. Solver errors map onto
-// HTTP statuses via errors.Is over the pslocal error taxonomy, and every
-// response verifies its own output through the facade verifiers before
-// reporting verified=true.
+// Both synchronous endpoints run through one handler, serveSolve, over
+// one shared pslocal.Solver: the server owns no cache or gate of its own.
+// The base Solver (built in newServer) carries the server-wide limits —
+// the parsed-instance cache and the bounded admission gate — and each
+// request derives a per-call variant with Solver.With for its parameters;
+// the derived solvers share the base cache and gate. Solver errors map
+// onto HTTP statuses via errors.Is over the pslocal error taxonomy, and
+// every response verifies its own output through the facade verifiers,
+// inside the timed and traced section, before reporting verified=true.
 
 import (
 	"bytes"
@@ -24,8 +26,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -78,7 +82,7 @@ type config struct {
 	cacheEntries int
 	// maxBodyBytes caps request bodies; <= 0 selects 64 MiB.
 	maxBodyBytes int64
-	// seed is the default oracle seed when a request carries none.
+	// seed is the default oracle seed when a request carries none or 0.
 	seed int64
 	// jobsDir is the persistent job store directory ("" = memory only).
 	jobsDir string
@@ -174,8 +178,10 @@ func newServer(cfg config) (*server, error) {
 	}
 	s.jobs = jm
 	s.met = newServerMetrics(s.solver, s.jobs, cfg.maxWorkers)
-	s.mux.HandleFunc("POST /v1/reduce", s.handleReduce)
-	s.mux.HandleFunc("POST /v1/maxis", s.handleMaxIS)
+	s.mux.HandleFunc("POST /v1/reduce", s.serveSolve(solveEndpoint{
+		name: "reduce", solved: s.met.reduces, track: s.met.reduce, solve: solveReduce}))
+	s.mux.HandleFunc("POST /v1/maxis", s.serveSolve(solveEndpoint{
+		name: "maxis", maxis: true, solved: s.met.solves, track: s.met.maxis, solve: solveMaxIS}))
 	s.mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleJobList)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
@@ -246,6 +252,7 @@ type instanceInfo struct {
 }
 
 // describe maps the Solver's instance report onto the response schema.
+// newServer always configures the cache, so every instance has a key.
 func describe(inst *pslocal.InstanceInfo) instanceInfo {
 	info := instanceInfo{
 		Kind:     inst.Kind,
@@ -253,17 +260,152 @@ func describe(inst *pslocal.InstanceInfo) instanceInfo {
 		M:        inst.M,
 		Weighted: inst.Weighted(),
 		Cache:    "miss",
-	}
-	// The key is empty only when the Solver runs cacheless, which this
-	// server never configures — but do not let a future config change
-	// panic the response path.
-	if len(inst.Key) >= 16 {
-		info.Key = "sha256:" + inst.Key[:16]
+		Key:      "sha256:" + inst.Key[:16],
 	}
 	if inst.CacheHit {
 		info.Cache = "hit"
 	}
 	return info
+}
+
+// solveParams is a solve request's query with every parameter resolved
+// to an explicit value. parseSolve fills it for /v1/reduce, /v1/maxis
+// and /v1/jobs alike.
+type solveParams struct {
+	format  pslocal.GraphFormat
+	k       int   // palette size: read on reduce and jobs, 3 on maxis
+	workers int   // in [1, -max-workers]
+	seed    int64 // never 0 unless -seed is
+	// oracle is the strategy name, "" only under algorithm=carving.
+	oracle    string
+	algorithm string  // maxis only: oracle or carving
+	delta     float64 // algorithm=carving only
+	trace     bool    // embed the trace in the response
+}
+
+// parseSolve resolves q's solve parameters. maxis selects /v1/maxis's
+// set: algorithm and delta instead of k, and greedy-mindeg instead of
+// implicit as the default oracle. The error is answered 400.
+func (s *server) parseSolve(q url.Values, maxis bool) (solveParams, error) {
+	trace := q.Get("trace")
+	p := solveParams{k: 3, workers: 1, oracle: q.Get("oracle"), trace: trace == "1" || trace == "true"}
+	var err error
+	if p.format, err = pslocal.ParseGraphFormat(q.Get("format")); err != nil {
+		return p, err
+	}
+	if err := queryNum(q, "workers", &p.workers); err != nil {
+		return p, err
+	}
+	// 0 or negative ask for "as many as allowed" (the server cap).
+	if p.workers < 1 || p.workers > s.cfg.maxWorkers {
+		p.workers = s.cfg.maxWorkers
+	}
+	if err := queryNum(q, "seed", &p.seed); err != nil {
+		return p, err
+	}
+	if p.seed == 0 {
+		p.seed = s.cfg.seed
+	}
+	if !maxis {
+		if err := queryNum(q, "k", &p.k); err != nil || p.k < 1 {
+			return p, fmt.Errorf("bad k parameter %q (want a positive integer)", q.Get("k"))
+		}
+		if p.oracle == "" {
+			p.oracle = "implicit"
+		}
+		return p, nil
+	}
+	switch p.algorithm = q.Get("algorithm"); p.algorithm {
+	case "", "oracle":
+		p.algorithm = "oracle"
+		if p.oracle == "" {
+			p.oracle = "greedy-mindeg"
+		}
+	case "carving":
+		p.oracle, p.delta = "", 1.0
+		if err := queryNum(q, "delta", &p.delta); err != nil || p.delta <= 0 {
+			return p, fmt.Errorf("bad delta parameter %q (want a positive float)", q.Get("delta"))
+		}
+	default:
+		return p, fmt.Errorf("unknown algorithm %q (want oracle|carving)", p.algorithm)
+	}
+	return p, nil
+}
+
+// solveEndpoint is what differs between the synchronous solves: the name
+// their traces and slow-log lines carry, their success counter and
+// latency track, and solve, which reads the body through the endpoint's
+// reader, verifies the answer and builds the response body.
+type solveEndpoint struct {
+	name   string
+	maxis  bool // parseSolve's parameter set
+	solved *pslocal.MetricsCounter
+	track  *pslocal.MetricsHistogram
+	solve  func(context.Context, *pslocal.Solver, io.Reader, solveParams) (*pslocal.InstanceInfo, solveResponse, error)
+}
+
+// solveResponse is a synchronous solve's response body; stamp fills in
+// what is known only once the timed section ends.
+type solveResponse interface {
+	stamp(elapsedMS float64, trace *pslocal.TraceSnapshot)
+}
+
+// refuseDraining rejects new work on a draining server with 503 and a
+// retry hint, reporting whether the request was refused. Reads (job
+// status, lists, events, metrics) stay open so operators and the gateway
+// can watch the drain finish.
+func (s *server) refuseDraining(w http.ResponseWriter) bool {
+	if !s.draining.Load() {
+		return false
+	}
+	w.Header().Set("Retry-After", "1")
+	s.fail(w, http.StatusServiceUnavailable, errors.New("server draining"))
+	return true
+}
+
+// serveSolve is the one handler of the synchronous solves: drain
+// refusal, parameters, the per-request Solver, then the reader and the
+// verifier under a leased trace and the request timer, then metrics,
+// the slow log and the encoded response.
+func (s *server) serveSolve(ep solveEndpoint) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.refuseDraining(w) {
+			return
+		}
+		p, err := s.parseSolve(r.URL.Query(), ep.maxis)
+		if err != nil {
+			s.fail(w, http.StatusBadRequest, err)
+			return
+		}
+		strategy := pslocal.WithOracle(p.oracle)
+		if p.algorithm == "carving" {
+			strategy = pslocal.WithCarving(p.delta)
+		}
+		sv := s.solver.With(pslocal.WithK(p.k), pslocal.WithWorkers(p.workers), pslocal.WithSeed(p.seed), strategy)
+		started := time.Now()
+		// Every solve runs under a leased trace: the snapshot lands in the
+		// /v1/traces ring whether the solve succeeds or fails, and ?trace=1
+		// embeds it in the response. Admission (the shared gate) happens
+		// inside the reader before the body is even read: parsing and CSR
+		// construction are exactly the costs the gate exists to bound.
+		tr := obs.LeaseTrace(ep.name, r.Header.Get(pslocal.RequestIDHeader))
+		inst, resp, err := ep.solve(pslocal.ContextWithTrace(r.Context(), tr), sv,
+			http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes), p)
+		snap := s.finishTrace(tr)
+		if err != nil {
+			s.failSolve(w, err)
+			return
+		}
+		elapsed := time.Since(started)
+		ep.solved.Inc()
+		s.met.observeSolve(ep.track, elapsed, inst.CacheHit)
+		s.logSlow(r, ep.name, elapsed)
+		if !p.trace {
+			snap = nil
+		}
+		resp.stamp(float64(elapsed.Microseconds())/1000, snap)
+		s.writeJSON(w, http.StatusOK, resp)
+	}
 }
 
 // reduceResponse is the /v1/reduce response body. Result is the
@@ -281,100 +423,27 @@ type reduceResponse struct {
 	Trace *pslocal.TraceSnapshot `json:"trace,omitempty"`
 }
 
-// refuseDraining rejects new work on a draining server with 503 and a
-// retry hint, reporting whether the request was refused. Reads (job
-// status, lists, events, metrics) stay open so operators and the gateway
-// can watch the drain finish.
-func (s *server) refuseDraining(w http.ResponseWriter) bool {
-	if !s.draining.Load() {
-		return false
-	}
-	w.Header().Set("Retry-After", "1")
-	s.fail(w, http.StatusServiceUnavailable, errors.New("server draining"))
-	return true
-}
+func (r *reduceResponse) stamp(ms float64, tr *pslocal.TraceSnapshot) { r.ElapsedMS, r.Trace = ms, tr }
 
-// handleReduce runs the Theorem 1.1 reduction on the posted hypergraph.
-func (s *server) handleReduce(w http.ResponseWriter, r *http.Request) {
-	if s.refuseDraining(w) {
-		return
-	}
-	q := r.URL.Query()
-	format, err := pslocal.ParseGraphFormat(q.Get("format"))
+// solveReduce runs the Theorem 1.1 reduction on the posted hypergraph.
+// VerifyReduction checks the multicolouring is conflict-free before it
+// checks the phase bookkeeping.
+func solveReduce(ctx context.Context, sv *pslocal.Solver, body io.Reader, p solveParams) (*pslocal.InstanceInfo, solveResponse, error) {
+	res, inst, err := sv.SolveReader(ctx, body, p.format)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
+		return nil, nil, err
 	}
-	k, err := intParam(q.Get("k"), 3)
-	if err != nil || k < 1 {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad k parameter %q (want a positive integer)", q.Get("k")))
-		return
+	resp := &reduceResponse{
+		Instance: describe(inst),
+		Oracle:   p.oracle,
+		Workers:  p.workers,
+		Result:   graphio.NewResultDoc(res),
 	}
-	workers, err := intParam(q.Get("workers"), 1)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad workers parameter %q", q.Get("workers")))
-		return
-	}
-	workers = s.clampWorkers(workers)
-	seed, err := int64Param(q.Get("seed"), s.cfg.seed)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad seed parameter %q", q.Get("seed")))
-		return
-	}
-	oracleName := q.Get("oracle")
-	if oracleName == "" {
-		oracleName = "implicit"
-	}
-
-	sv := s.solver.With(
-		pslocal.WithK(k),
-		pslocal.WithWorkers(workers),
-		pslocal.WithSeed(seed),
-		pslocal.WithOracle(oracleName),
-	)
-	started := time.Now()
-	// Every solve runs under a leased trace: the snapshot lands in the
-	// /v1/traces ring whether the solve succeeds or fails, and ?trace=1
-	// embeds it in the response.
-	tr := obs.LeaseTrace("reduce", r.Header.Get(pslocal.RequestIDHeader))
-	ctx := pslocal.ContextWithTrace(r.Context(), tr)
-	// Admission (the shared gate) happens inside SolveReader before the
-	// body is even read: parsing and CSR construction are exactly the
-	// costs the gate exists to bound.
-	res, inst, err := sv.SolveReader(ctx,
-		http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes), format)
-	if err != nil {
-		s.finishTrace(tr)
-		s.failSolve(w, err)
-		return
-	}
-	// VerifyReduction checks the multicolouring is conflict-free before
-	// it checks the phase bookkeeping.
-	verified := false
 	if hg := inst.Hypergraph(); hg != nil {
-		verified = pslocal.VerifyReduction(hg, res) == nil
+		resp.Verified = pslocal.VerifyReduction(hg, res) == nil
 	}
-	snap := s.finishTrace(tr)
-	elapsed := time.Since(started)
-	s.met.reduces.Inc()
-	s.met.observeSolve(s.met.reduce, elapsed, inst.CacheHit)
-	s.logSlow(r, "reduce", elapsed)
-	resp := reduceResponse{
-		Instance:  describe(inst),
-		Oracle:    oracleName,
-		Workers:   workers,
-		Verified:  verified,
-		ElapsedMS: msSince(started),
-		Result:    graphio.NewResultDoc(res),
-	}
-	if wantTrace(q.Get("trace")) {
-		resp.Trace = snap
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	return inst, resp, nil
 }
-
-// wantTrace interprets the ?trace= query parameter.
-func wantTrace(v string) bool { return v == "1" || v == "true" }
 
 // logSlow emits a structured warning for requests at or above the
 // -slow-ms threshold (0 disables).
@@ -407,93 +476,31 @@ type maxisResponse struct {
 	Trace *pslocal.TraceSnapshot `json:"trace,omitempty"`
 }
 
-// handleMaxIS solves MaxIS on the posted graph, either through a registry
+func (r *maxisResponse) stamp(ms float64, tr *pslocal.TraceSnapshot) { r.ElapsedMS, r.Trace = ms, tr }
+
+// solveMaxIS solves MaxIS on the posted graph, either through a registry
 // oracle (algorithm=oracle, the default) or the SLOCAL ball-carving
 // (1+δ)-approximation (algorithm=carving, which reports its locality).
-func (s *server) handleMaxIS(w http.ResponseWriter, r *http.Request) {
-	if s.refuseDraining(w) {
-		return
-	}
-	q := r.URL.Query()
-	format, err := pslocal.ParseGraphFormat(q.Get("format"))
+func solveMaxIS(ctx context.Context, sv *pslocal.Solver, body io.Reader, p solveParams) (*pslocal.InstanceInfo, solveResponse, error) {
+	res, inst, err := sv.MaxISReader(ctx, body, p.format)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
+		return nil, nil, err
 	}
-	workers, err := intParam(q.Get("workers"), 1)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad workers parameter %q", q.Get("workers")))
-		return
-	}
-	workers = s.clampWorkers(workers)
-	seed, err := int64Param(q.Get("seed"), s.cfg.seed)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad seed parameter %q", q.Get("seed")))
-		return
-	}
-	algorithm := q.Get("algorithm")
-	if algorithm == "" {
-		algorithm = "oracle"
-	}
-	opts := []pslocal.SolverOption{
-		pslocal.WithWorkers(workers),
-		pslocal.WithSeed(seed),
-	}
-	oracleName := ""
-	switch algorithm {
-	case "oracle":
-		oracleName = q.Get("oracle")
-		if oracleName == "" {
-			oracleName = "greedy-mindeg"
-		}
-		opts = append(opts, pslocal.WithOracle(oracleName))
-	case "carving":
-		delta, err := floatParam(q.Get("delta"), 1.0)
-		if err != nil || delta <= 0 {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("bad delta parameter %q (want a positive float)", q.Get("delta")))
-			return
-		}
-		opts = append(opts, pslocal.WithCarving(delta))
-	default:
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("unknown algorithm %q (want oracle|carving)", algorithm))
-		return
-	}
-
-	sv := s.solver.With(opts...)
-	started := time.Now()
-	tr := obs.LeaseTrace("maxis", r.Header.Get(pslocal.RequestIDHeader))
-	ctx := pslocal.ContextWithTrace(r.Context(), tr)
-	res, inst, err := sv.MaxISReader(ctx,
-		http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes), format)
-	if err != nil {
-		s.finishTrace(tr)
-		s.failSolve(w, err)
-		return
-	}
-	snap := s.finishTrace(tr)
-	elapsed := time.Since(started)
-	resp := maxisResponse{
+	resp := &maxisResponse{
 		Instance:       describe(inst),
-		Algorithm:      algorithm,
-		Oracle:         oracleName,
-		Workers:        workers,
+		Algorithm:      p.algorithm,
+		Oracle:         p.oracle,
+		Workers:        p.workers,
 		Size:           len(res.Set),
 		TotalWeight:    res.TotalWeight,
 		IndependentSet: res.Set,
 		Locality:       res.Locality,
 		RadiusBound:    res.RadiusBound,
-		ElapsedMS:      msSince(started),
 	}
 	if g := inst.Graph(); g != nil {
 		resp.Verified = pslocal.VerifyIndependentSet(g, res.Set) == nil
 	}
-	if wantTrace(q.Get("trace")) {
-		resp.Trace = snap
-	}
-	s.met.solves.Inc()
-	s.met.observeSolve(s.met.maxis, elapsed, inst.CacheHit)
-	s.logSlow(r, "maxis", elapsed)
-	s.writeJSON(w, http.StatusOK, resp)
+	return inst, resp, nil
 }
 
 // handleHealthz reports liveness: 200 as long as the process serves,
@@ -560,15 +567,6 @@ func (s *server) handleStatz(w http.ResponseWriter, _ *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]pslocal.SolverCacheStats{"cache": s.solver.CacheStats()})
 }
 
-// clampWorkers maps the request's workers parameter onto [1, maxWorkers]:
-// 0 or negative ask for "as many as allowed" (the server cap).
-func (s *server) clampWorkers(workers int) int {
-	if workers < 1 || workers > s.cfg.maxWorkers {
-		return s.cfg.maxWorkers
-	}
-	return workers
-}
-
 // failSolve maps a Solver error onto the response: abandoned requests are
 // only counted (nobody is listening), the typed taxonomy maps onto 4xx
 // via errors.Is, and everything else is a 500.
@@ -576,7 +574,7 @@ func (s *server) failSolve(w http.ResponseWriter, err error) {
 	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.Is(err, pslocal.ErrCancelled):
-		s.abandon(err)
+		s.met.canceled.Inc()
 	case errors.As(err, &tooLarge):
 		s.fail(w, http.StatusRequestEntityTooLarge, err)
 	case errors.Is(err, pslocal.ErrUnknownOracle),
@@ -603,12 +601,6 @@ func (s *server) fail(w http.ResponseWriter, status int, err error) {
 	s.writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// abandon records a request whose client went away mid-solve; nothing is
-// written because nobody is listening.
-func (s *server) abandon(error) {
-	s.met.canceled.Inc()
-}
-
 // writeJSON encodes v into a pooled buffer and writes it with the given
 // status. Encoding before WriteHeader means an encode failure can still
 // surface as a 500 instead of a truncated 200.
@@ -625,31 +617,24 @@ func (s *server) writeJSON(w http.ResponseWriter, status int, v any) {
 	_, _ = w.Write(e.buf.Bytes())
 }
 
-// intParam parses an optional integer query parameter.
-func intParam(s string, def int) (int, error) {
-	if s == "" {
-		return def, nil
+// queryNum parses the optional numeric query parameter name into *v,
+// leaving *v, the caller's default, when the parameter is absent.
+func queryNum[T int | int64 | float64](q url.Values, name string, v *T) error {
+	raw := q.Get(name)
+	if raw == "" {
+		return nil
 	}
-	return strconv.Atoi(s)
-}
-
-// int64Param parses an optional int64 query parameter.
-func int64Param(s string, def int64) (int64, error) {
-	if s == "" {
-		return def, nil
+	var err error
+	switch v := any(v).(type) {
+	case *int:
+		*v, err = strconv.Atoi(raw)
+	case *int64:
+		*v, err = strconv.ParseInt(raw, 10, 64)
+	case *float64:
+		*v, err = strconv.ParseFloat(raw, 64)
 	}
-	return strconv.ParseInt(s, 10, 64)
-}
-
-// floatParam parses an optional float query parameter.
-func floatParam(s string, def float64) (float64, error) {
-	if s == "" {
-		return def, nil
+	if err != nil {
+		return fmt.Errorf("bad %s parameter %q", name, raw)
 	}
-	return strconv.ParseFloat(s, 64)
-}
-
-// msSince returns the elapsed milliseconds since t.
-func msSince(t time.Time) float64 {
-	return float64(time.Since(t).Microseconds()) / 1000.0
+	return nil
 }

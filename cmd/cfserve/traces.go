@@ -28,9 +28,10 @@ func (s *server) finishTrace(tr *pslocal.Trace) *pslocal.TraceSnapshot {
 // handleTraces serves the retained trace snapshots, newest first.
 // ?limit=N bounds the response (0 = everything retained).
 func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	limit, err := intParam(r.URL.Query().Get("limit"), 0)
-	if err != nil || limit < 0 {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad limit parameter %q", r.URL.Query().Get("limit")))
+	q := r.URL.Query()
+	var limit int
+	if err := queryNum(q, "limit", &limit); err != nil || limit < 0 {
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad limit parameter %q", q.Get("limit")))
 		return
 	}
 	snaps := s.traces.Snapshot(limit)

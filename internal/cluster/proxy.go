@@ -422,8 +422,15 @@ func (g *Gateway) copyResponse(w http.ResponseWriter, resp *http.Response, backe
 	if f, ok := w.(http.Flusher); ok && strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
 		dst = &flushWriter{w: w, f: f}
 	}
-	io.Copy(dst, resp.Body)
+	// Neither dst nor the upstream body offers ReadFrom or WriteTo, so
+	// io.Copy would allocate a fresh buffer for every response.
+	buf := copyBufs.Get().(*[]byte)
+	io.CopyBuffer(dst, resp.Body, *buf)
+	copyBufs.Put(buf)
 }
+
+// copyBufs pools copyResponse's relay buffers.
+var copyBufs = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
 
 // flushWriter flushes after every write — what keeps proxied SSE events
 // flowing instead of pooling in the gateway's buffers.

@@ -1,10 +1,11 @@
 package engine
 
 // gate.go provides Gate, the bounded-admission primitive of the serving
-// layer: cmd/cfserve holds one Gate sized to its -max-inflight flag and
-// admits each reduction request through it, so a traffic burst queues at
-// the gate (respecting per-request cancellation) instead of oversubscribing
-// the worker pools that Options.ForEachShard fans out on.
+// layer: the Solver (solver.New) holds one Gate sized by WithMaxInflight,
+// which cfserve sets from its -max-inflight flag, and admits each solve
+// through it, so a traffic burst queues at the gate (respecting
+// per-request cancellation) instead of oversubscribing the worker pools
+// that Options.ForEachShard fans out on.
 
 import "context"
 
@@ -40,18 +41,8 @@ func (g *Gate) Acquire(ctx context.Context) error {
 	}
 }
 
-// TryAcquire takes a slot without blocking, reporting whether it did.
-func (g *Gate) TryAcquire() bool {
-	select {
-	case g.slots <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-// Release frees a slot taken by Acquire or TryAcquire. Releasing more
-// than was acquired is a programming error and panics.
+// Release frees a slot taken by Acquire. Releasing more than was
+// acquired is a programming error and panics.
 func (g *Gate) Release() {
 	select {
 	case <-g.slots:

@@ -12,21 +12,23 @@ func TestGateBoundsAdmission(t *testing.T) {
 	if g.Capacity() != 2 {
 		t.Fatalf("Capacity = %d, want 2", g.Capacity())
 	}
-	if err := g.Acquire(nil); err != nil {
-		t.Fatalf("first Acquire: %v", err)
+	for i := 0; i < 2; i++ {
+		if err := g.Acquire(nil); err != nil {
+			t.Fatalf("Acquire %d: %v", i+1, err)
+		}
 	}
-	if !g.TryAcquire() {
-		t.Fatal("second TryAcquire should succeed")
-	}
-	if g.TryAcquire() {
-		t.Fatal("third TryAcquire should fail at capacity")
+	// At capacity a third Acquire waits until its context expires.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if err := g.Acquire(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("third Acquire = %v, want deadline exceeded at capacity", err)
 	}
 	if g.InUse() != 2 {
 		t.Fatalf("InUse = %d, want 2", g.InUse())
 	}
 	g.Release()
-	if !g.TryAcquire() {
-		t.Fatal("TryAcquire after Release should succeed")
+	if err := g.Acquire(nil); err != nil {
+		t.Fatalf("Acquire after Release: %v", err)
 	}
 	g.Release()
 	g.Release()
