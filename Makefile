@@ -27,7 +27,8 @@ fmt:
 
 # bench runs the hot-path benchmarks and appends this run to the
 # BENCH_gk.json history (keyed by git SHA) so successive PRs have a perf
-# trajectory. bench-quick is the 1-iteration CI mode, same schema.
+# trajectory. bench-quick is the CI mode (one iteration, twenty for the
+# alloc-gated benchmarks), same schema.
 bench:
 	./scripts/bench.sh
 

@@ -44,47 +44,57 @@ func main() {
 }
 
 func run() error {
-	var (
-		dir      = flag.String("dir", "", "instance directory to sweep (required)")
-		glob     = flag.String("glob", "*", "file name filter inside -dir")
-		outDir   = flag.String("out", "", "persistent job store directory (default: in-memory only)")
-		workers  = flag.Int("workers", 0, "job worker pool width (0 = GOMAXPROCS)")
-		priority = flag.String("priority", "normal", "queue lane: low | normal | high")
-		k        = flag.Int("k", 3, "palette size per phase")
-		oracle   = flag.String("oracle", "", "registry oracle name, incl. portfolio:<a>,<b>,... (empty = implicit first-fit)")
-		seed     = flag.Int64("seed", 1, "random seed for randomized oracles")
-		deadline = flag.Duration("deadline", 0, "per-job run deadline (0 = unbounded)")
-		retries  = flag.Int("retries", 0, "transient-failure retry budget per job")
-		timeout  = flag.Duration("timeout", 0, "overall batch timeout (0 = unbounded)")
-	)
-	flag.Parse()
-	if *dir == "" {
-		return fmt.Errorf("missing -dir (the instance directory to sweep)")
-	}
-	prio, err := pslocal.ParseJobPriority(*priority)
+	cfg, timeout, err := parseFlags(os.Args[1:])
 	if err != nil {
 		return err
 	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if *timeout > 0 {
+	if timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
+	return runBatch(ctx, cfg, os.Stdout)
+}
 
-	cfg := batchConfig{
+// parseFlags resolves the command line into the batch configuration and
+// the overall timeout. Each job gets the parameters cfserve fills in for
+// the same request, one worker included, so a cfserve over the -out
+// store dedupes onto the swept jobs; -workers sizes the job pool.
+func parseFlags(args []string) (batchConfig, time.Duration, error) {
+	fs := flag.NewFlagSet("cfbatch", flag.ExitOnError)
+	var (
+		dir      = fs.String("dir", "", "instance directory to sweep (required)")
+		glob     = fs.String("glob", "*", "file name filter inside -dir")
+		outDir   = fs.String("out", "", "persistent job store directory (default: in-memory only)")
+		workers  = fs.Int("workers", 0, "job worker pool width (0 = GOMAXPROCS)")
+		priority = fs.String("priority", "normal", "queue lane: low | normal | high")
+		k        = fs.Int("k", 3, "palette size per phase")
+		oracle   = fs.String("oracle", "implicit", "strategy: implicit | exact | a registry oracle name | portfolio:<a>,<b>,...")
+		seed     = fs.Int64("seed", 1, "random seed for randomized oracles")
+		deadline = fs.Duration("deadline", 0, "per-job run deadline (0 = unbounded)")
+		retries  = fs.Int("retries", 0, "transient-failure retry budget per job")
+		timeout  = fs.Duration("timeout", 0, "overall batch timeout (0 = unbounded)")
+	)
+	fs.Parse(args)
+	if *dir == "" {
+		return batchConfig{}, 0, fmt.Errorf("missing -dir (the instance directory to sweep)")
+	}
+	prio, err := pslocal.ParseJobPriority(*priority)
+	if err != nil {
+		return batchConfig{}, 0, err
+	}
+	return batchConfig{
 		dir:      *dir,
 		glob:     *glob,
 		outDir:   *outDir,
 		workers:  *workers,
 		priority: prio,
-		params:   pslocal.JobParams{K: *k, Oracle: *oracle, Seed: *seed},
+		params:   pslocal.JobParams{K: *k, Oracle: *oracle, Seed: *seed, Workers: 1},
 		deadline: *deadline,
 		retries:  *retries,
-	}
-	return runBatch(ctx, cfg, os.Stdout)
+	}, *timeout, nil
 }
 
 // batchConfig carries the resolved flags.

@@ -121,6 +121,48 @@ func TestRunBatchMixedFormats(t *testing.T) {
 	}
 }
 
+// TestDefaultSweepDedupesServeSubmission sweeps a directory with the
+// default flags into a store, then submits one swept body over that
+// store with the parameters cfserve fills in for a default /v1/jobs
+// request: it must dedupe onto the swept job instead of running again.
+func TestDefaultSweepDedupesServeSubmission(t *testing.T) {
+	dir := t.TempDir()
+	out := t.TempDir()
+	files := writeInstances(t, dir)
+	cfg, _, err := parseFlags([]string{"-dir", dir, "-out", out})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := runBatch(context.Background(), cfg, &buf); err != nil {
+		t.Fatalf("runBatch: %v\n%s", err, buf.String())
+	}
+	jm, err := pslocal.NewJobManager(pslocal.JobConfig{Dir: out, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jm.Close()
+	label := filepath.Base(files[0])
+	swept := jm.List(pslocal.JobFilter{Label: label})
+	if len(swept) != 1 {
+		t.Fatalf("store holds %d jobs labelled %s, want 1", len(swept), label)
+	}
+	body, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, accepted, err := jm.Submit(pslocal.JobRequest{
+		Body:   body,
+		Params: pslocal.JobParams{K: 3, Oracle: "implicit", Seed: 1, Workers: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if accepted || info.ID != swept[0].ID {
+		t.Errorf("submit: id %s accepted=%v, want the swept job %s deduped", info.ID, accepted, swept[0].ID)
+	}
+}
+
 // TestRunBatchReportsFailures keeps the batch going past a bad instance
 // and exits non-zero.
 func TestRunBatchReportsFailures(t *testing.T) {

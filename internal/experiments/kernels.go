@@ -67,7 +67,7 @@ func E14BitsetKernels(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: E14 build: %w", err)
 		}
-		dense := maxis.NewDense(g) != nil
+		dense := maxis.DenseEligible(g)
 		if dense {
 			sawDense = true
 		} else {

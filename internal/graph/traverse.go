@@ -4,6 +4,8 @@ package graph
 // primitive of the SLOCAL model, paper Section 1), connected components, and
 // induced subgraphs.
 
+import "slices"
+
 // BFS returns the hop distance from src to every node, with -1 for
 // unreachable nodes.
 func BFS(g *Graph, src int32) []int32 {
@@ -59,7 +61,7 @@ func BallWithDist(g *Graph, v int32, r int) (nodes []int32, dist []int32) {
 	for u := range seen {
 		nodes = append(nodes, u)
 	}
-	sortInt32(nodes)
+	slices.Sort(nodes)
 	dist = make([]int32, len(nodes))
 	for i, u := range nodes {
 		dist[i] = seen[u]
@@ -141,7 +143,7 @@ func Diameter(g *Graph) int {
 func Induced(g *Graph, nodes []int32) (*Graph, []int32, error) {
 	orig := make([]int32, len(nodes))
 	copy(orig, nodes)
-	sortInt32(orig)
+	slices.Sort(orig)
 	toNew := make(map[int32]int32, len(orig))
 	for i, v := range orig {
 		if v < 0 || int(v) >= g.N() {
@@ -173,63 +175,4 @@ func Induced(g *Graph, nodes []int32) (*Graph, []int32, error) {
 		return nil, nil, err
 	}
 	return sub, orig, nil
-}
-
-// sortInt32 sorts a slice of int32 in ascending order.
-func sortInt32(s []int32) {
-	// Insertion sort below a small threshold, otherwise delegate; ball and
-	// induced-subgraph node lists are usually tiny.
-	if len(s) <= 24 {
-		for i := 1; i < len(s); i++ {
-			for j := i; j > 0 && s[j-1] > s[j]; j-- {
-				s[j-1], s[j] = s[j], s[j-1]
-			}
-		}
-		return
-	}
-	quickSortInt32(s)
-}
-
-func quickSortInt32(s []int32) {
-	for len(s) > 24 {
-		p := partitionInt32(s)
-		if p < len(s)-p {
-			quickSortInt32(s[:p])
-			s = s[p:]
-		} else {
-			quickSortInt32(s[p:])
-			s = s[:p]
-		}
-	}
-	sortInt32(s)
-}
-
-func partitionInt32(s []int32) int {
-	mid := len(s) / 2
-	// Median-of-three pivot to dodge adversarial (sorted) inputs.
-	if s[0] > s[mid] {
-		s[0], s[mid] = s[mid], s[0]
-	}
-	if s[0] > s[len(s)-1] {
-		s[0], s[len(s)-1] = s[len(s)-1], s[0]
-	}
-	if s[mid] > s[len(s)-1] {
-		s[mid], s[len(s)-1] = s[len(s)-1], s[mid]
-	}
-	pivot := s[mid]
-	i, j := 0, len(s)-1
-	for {
-		for s[i] < pivot {
-			i++
-		}
-		for s[j] > pivot {
-			j--
-		}
-		if i >= j {
-			return j + 1
-		}
-		s[i], s[j] = s[j], s[i]
-		i++
-		j--
-	}
 }

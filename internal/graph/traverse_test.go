@@ -177,38 +177,3 @@ func TestInducedPropertyPreservesAdjacency(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestSortInt32(t *testing.T) {
-	f := func(vals []int32) bool {
-		s := make([]int32, len(vals))
-		copy(s, vals)
-		sortInt32(s)
-		if !sort.SliceIsSorted(s, func(i, j int) bool { return s[i] < s[j] }) {
-			return false
-		}
-		// Same multiset.
-		want := make([]int32, len(vals))
-		copy(want, vals)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		for i := range want {
-			if want[i] != s[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-	// Exercise the quicksort path explicitly with a large adversarial input.
-	big := make([]int32, 500)
-	for i := range big {
-		big[i] = int32(len(big) - i)
-	}
-	sortInt32(big)
-	for i := 1; i < len(big); i++ {
-		if big[i-1] > big[i] {
-			t.Fatal("large descending input not sorted")
-		}
-	}
-}

@@ -20,7 +20,7 @@ func benchDenseGraph(tb testing.TB) *graph.Graph {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(42))
 	g := graph.GnP(2048, 0.5, rng)
-	if !denseEligible(g) {
+	if !DenseEligible(g) {
 		tb.Fatalf("benchmark graph fell below the density cutoff")
 	}
 	return g
@@ -58,22 +58,12 @@ func BenchmarkOracleKernels(b *testing.B) {
 			sink = greedyOrderDense(d, order)
 		}
 	})
-	// The exact solver always runs on bitset rows; the pair below isolates
-	// what injecting the instance-cached pack saves per call.
+	// The exact solver always runs on bitset rows, packing once per call.
 	exactG := graph.GnP(140, 0.4, rand.New(rand.NewSource(7)))
-	exactD := &Dense{dg: packDense(exactG)}
 	b.Run("exact/repack", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := ExactOpts(exactG, ExactOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("exact/injected", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := ExactOpts(exactG, ExactOptions{Dense: exactD}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -8,13 +8,14 @@ package maxis
 //
 // Packing is gated by a density cutoff: a row sweep costs O(n/64) words
 // regardless of degree, so on sparse rows the CSR walk wins and the
-// kernels fall back to it (NewDense returns nil and the oracles keep
-// their list paths). Owners that cache parsed instances (internal/solver)
-// build the Dense form once per instance and inject it into oracles
-// through DenseSetter, so repeated solves on a hot instance skip packing
-// entirely. DESIGN.md ("Bitset kernels") records the layout and cutoff.
+// kernels fall back to it (DenseEligible reports false and the oracles
+// keep their list paths). Every solve packs for itself into pooled
+// scratch and returns the pack when it ends, so a steady-state dense
+// solve allocates only its result. DESIGN.md ("Bitset kernels") records
+// the layout and cutoff.
 
 import (
+	"slices"
 	"sync"
 
 	"pslocal/internal/graph"
@@ -45,11 +46,21 @@ func (d *denseGraph) row(v int32) bitset {
 	return d.bits[w : w+d.words : w+d.words]
 }
 
-// packDense builds the packed form from the CSR unconditionally.
+// maxRetainedPackWords caps the pack a pooled denseGraph keeps between
+// solves (1 MiB, reached around n ≈ 2,900); a one-off huge instance must
+// not pin its pack in the pool forever.
+const maxRetainedPackWords = 1 << 17
+
+var densePool = sync.Pool{New: func() any { return new(denseGraph) }}
+
+// packDense packs g into a pooled denseGraph whatever its density; the
+// caller hands it back with releaseDense when its solve ends.
 func packDense(g *graph.Graph) *denseGraph {
 	n := g.N()
 	words := (n + 63) / 64
-	d := &denseGraph{n: n, words: words, bits: make(bitset, n*words)}
+	d := densePool.Get().(*denseGraph)
+	d.n, d.words = n, words
+	d.bits = resizeBits(d.bits, n*words)
 	for v := 0; v < n; v++ {
 		row := d.bits[v*words : (v+1)*words]
 		g.ForEachNeighbor(int32(v), func(u int32) bool {
@@ -60,9 +71,19 @@ func packDense(g *graph.Graph) *denseGraph {
 	return d
 }
 
-// denseEligible reports whether g clears the density cutoff and the
-// memory cap; the kernels use the CSR walk otherwise.
-func denseEligible(g *graph.Graph) bool {
+// releaseDense returns d to the pool; neither d nor its rows may be used
+// afterwards.
+func releaseDense(d *denseGraph) {
+	if cap(d.bits) > maxRetainedPackWords {
+		d.bits = nil
+	}
+	densePool.Put(d)
+}
+
+// DenseEligible reports whether g clears the density cutoff and the
+// memory cap, i.e. whether the greedy oracles solve it on the bitset
+// kernels; they use the CSR walk otherwise.
+func DenseEligible(g *graph.Graph) bool {
 	n := g.N()
 	if n < 2 {
 		return false
@@ -74,52 +95,11 @@ func denseEligible(g *graph.Graph) bool {
 	return 2*g.M()*denseRatio >= n*n
 }
 
-// Dense is the cacheable handle to a graph's packed adjacency. Owners
-// with an instance cache (internal/solver) build it once per parsed graph
-// via NewDense and hand it to oracles through DenseSetter; oracles
-// without an injected Dense pack eligible graphs themselves, once per
-// Solve.
-type Dense struct {
-	dg *denseGraph
-}
-
-// NewDense packs g, or returns nil when g fails the density cutoff (the
-// oracles then keep their CSR paths). A nil return is not an error: it is
-// the cutoff saying the list walk is the faster kernel for this graph.
-func NewDense(g *graph.Graph) *Dense {
-	if !denseEligible(g) {
-		return nil
-	}
-	return &Dense{dg: packDense(g)}
-}
-
-// DenseSetter is implemented by oracles whose Solve can run on a
-// pre-packed adjacency. Solver.MaxISReader injects the instance-cached
-// Dense so cache-hit requests skip packing; SetDense(nil) is a no-op.
-type DenseSetter interface {
-	// SetDense installs the packed adjacency used by the next Solve. The
-	// Dense must describe the same graph Solve receives.
-	SetDense(*Dense)
-}
-
-// denseFor resolves the packed form for one Solve: the injected handle
-// when present, a fresh pack when g clears the cutoff, nil otherwise.
-func denseFor(injected *Dense, g *graph.Graph) *denseGraph {
-	if injected != nil && injected.dg != nil && injected.dg.n == g.N() {
-		return injected.dg
-	}
-	if !denseEligible(g) {
-		return nil
-	}
-	return packDense(g)
-}
-
 // kernelScratch holds the per-solve bitset state of the dense kernels;
 // pooled so steady-state solves allocate nothing.
 type kernelScratch struct {
 	a, b, c bitset
 	deg     []int32
-	out     []int32
 }
 
 var kernelPool = sync.Pool{New: func() any { return new(kernelScratch) }}
@@ -137,7 +117,6 @@ func grabKernelScratch(words, n int) *kernelScratch {
 		s.deg = s.deg[:n]
 		clear(s.deg)
 	}
-	s.out = s.out[:0]
 	return s
 }
 
@@ -170,7 +149,7 @@ func greedyOrderDense(d *denseGraph, order []int32) []int32 {
 		}
 	}
 	releaseKernelScratch(s)
-	sortNodes(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -180,16 +159,11 @@ func greedyOrderDense(d *denseGraph, order []int32) []int32 {
 // graphs fall back to the list-based GreedyMinDegree, which meets the
 // same bound.
 func GreedyMinDegreeBitset(g *graph.Graph) []int32 {
-	return greedyMinDegreeAuto(nil, g)
-}
-
-// greedyMinDegreeAuto routes between the dense kernel and the list
-// fallback.
-func greedyMinDegreeAuto(injected *Dense, g *graph.Graph) []int32 {
-	d := denseFor(injected, g)
-	if d == nil {
+	if !DenseEligible(g) {
 		return GreedyMinDegree(g)
 	}
+	d := packDense(g)
+	defer releaseDense(d)
 	return greedyMinDegreeDense(d)
 }
 
@@ -235,6 +209,6 @@ func greedyMinDegreeDense(d *denseGraph) []int32 {
 		})
 	}
 	releaseKernelScratch(s)
-	sortNodes(out)
+	slices.Sort(out)
 	return out
 }

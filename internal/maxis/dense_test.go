@@ -2,6 +2,8 @@ package maxis
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -49,7 +51,7 @@ func refGreedyMinDegreeDeterministic(g *graph.Graph) []int32 {
 			})
 		}
 	}
-	sortNodes(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -102,7 +104,7 @@ func TestGreedyMinDegreeBitsetMeetsListOnFallback(t *testing.T) {
 	// outputs must be bit-identical.
 	rng := rand.New(rand.NewSource(11))
 	g := graph.GnP(400, 0.005, rng)
-	if NewDense(g) != nil {
+	if DenseEligible(g) {
 		t.Fatalf("G(400, 0.005) unexpectedly cleared the density cutoff")
 	}
 	if !equalSets(GreedyMinDegreeBitset(g), GreedyMinDegree(g)) {
@@ -110,77 +112,53 @@ func TestGreedyMinDegreeBitsetMeetsListOnFallback(t *testing.T) {
 	}
 }
 
+// TestGreedyMinDegreeBitsetReusesPack holds the pooled-pack line: once
+// the pool is warm, a dense solve allocates its result and no pack.
+func TestGreedyMinDegreeBitsetReusesPack(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector randomises sync.Pool reuse")
+	}
+	g := graph.GnP(256, 0.3, rand.New(rand.NewSource(5)))
+	if !DenseEligible(g) {
+		t.Fatal("G(256, 0.3) should clear the density cutoff")
+	}
+	const packBytes = 256 * 4 * 8   // n rows of ⌈n/64⌉ words
+	sink = GreedyMinDegreeBitset(g) // warm the pools
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		sink = GreedyMinDegreeBitset(g)
+	}
+	runtime.ReadMemStats(&after)
+	if perSolve := (after.TotalAlloc - before.TotalAlloc) / runs; perSolve >= packBytes {
+		t.Errorf("%d bytes allocated per solve, want below one pack (%d)", perSolve, packBytes)
+	}
+}
+
 func TestDenseEligibility(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	dense := graph.GnP(128, 0.5, rng)
-	if NewDense(dense) == nil {
+	if !DenseEligible(dense) {
 		t.Error("G(128, 0.5) should clear the density cutoff")
 	}
 	sparse := graph.GnP(512, 0.002, rng)
-	if NewDense(sparse) != nil {
+	if DenseEligible(sparse) {
 		t.Error("G(512, 0.002) should fall below the density cutoff")
 	}
-	if NewDense(graph.GnP(1, 0, rng)) != nil {
+	if DenseEligible(graph.GnP(1, 0, rng)) {
 		t.Error("a single vertex should never pack")
 	}
 }
 
-// TestDenseInjectionMatchesSelfPack pins the DenseSetter contract: an
-// oracle given the pre-packed adjacency returns exactly what it returns
-// when packing (or CSR-walking) on its own.
-func TestDenseInjectionMatchesSelfPack(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	g := graph.GnP(96, 0.4, rng)
-	d := NewDense(g)
-	if d == nil {
-		t.Fatalf("G(96, 0.4) should pack")
-	}
-	oracles := []struct {
-		name            string
-		plain, injected Oracle
-	}{
-		{"greedy-firstfit", &FirstFitOracle{}, &FirstFitOracle{}},
-		{"greedy-mindeg-bitset", &MinDegreeBitsetOracle{}, &MinDegreeBitsetOracle{}},
-		{"greedy-random", &RandomOrderOracle{Seed: 5}, &RandomOrderOracle{Seed: 5}},
-		{"exact", &ExactOracle{}, &ExactOracle{}},
-	}
-	for _, tt := range oracles {
-		tt.injected.(DenseSetter).SetDense(d)
-		want, err1 := tt.plain.Solve(g)
-		got, err2 := tt.injected.Solve(g)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("%s: errors %v / %v", tt.name, err1, err2)
-		}
-		if !equalSets(want, got) {
-			t.Errorf("%s: injected dense changed the output: %v vs %v", tt.name, got, want)
-		}
-	}
-}
-
-// TestPortfolioForwardsDense covers the Portfolio fan-out of SetDense.
-func TestPortfolioForwardsDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	g := graph.GnP(64, 0.5, rng)
-	p, err := NewPortfolio(&FirstFitOracle{}, &MinDegreeBitsetOracle{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.SetDense(NewDense(g))
-	set, err := p.Solve(g)
-	if err != nil {
-		t.Fatalf("portfolio Solve: %v", err)
-	}
-	if !IsIndependentSet(g, set) {
-		t.Errorf("portfolio returned a dependent set %v", set)
-	}
-}
-
+// TestExactWithDenseOption checks the exact solver, whose rows are always
+// a pooled pack, against brute force from sparse to dense G(n, p).
 func TestExactWithDenseOption(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(13)
 		g := graph.GnP(n, 0.1+0.7*rng.Float64(), rng)
-		set, err := ExactOpts(g, ExactOptions{Dense: &Dense{dg: packDense(g)}})
+		set, err := ExactOpts(g, ExactOptions{})
 		if err != nil {
 			return false
 		}

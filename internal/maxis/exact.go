@@ -23,6 +23,7 @@ package maxis
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"pslocal/internal/graph"
 )
@@ -42,11 +43,6 @@ type ExactOptions struct {
 	// ctxPollInterval branch nodes and the search returns ctx's error with
 	// the best set found so far. Nil never cancels.
 	Ctx context.Context
-	// Dense optionally supplies a pre-packed adjacency (NewDense) for the
-	// same graph, saving the solver its packing pass; owners with an
-	// instance cache inject it via ExactOracle.SetDense. A Dense for a
-	// different graph is ignored.
-	Dense *Dense
 }
 
 // ctxPollInterval is how many branch nodes pass between context polls: a
@@ -86,13 +82,10 @@ func ExactOpts(g *graph.Graph, opts ExactOptions) ([]int32, error) {
 		s.weighted = true
 		s.w = g.AppendWeights(make([]int64, 0, n))
 	}
-	// Row bitsets are views into one contiguous pack — one backing
-	// allocation instead of n, reused outright when the caller injected the
-	// instance-cached Dense for this graph.
-	d := denseFor(opts.Dense, g)
-	if d == nil {
-		d = packDense(g)
-	}
+	// Row bitsets are views into one pooled pack, returned when the
+	// search ends.
+	d := packDense(g)
+	defer releaseDense(d)
 	for v := 0; v < n; v++ {
 		s.adj[v] = d.row(int32(v))
 	}
@@ -114,7 +107,7 @@ func ExactOpts(g *graph.Graph, opts ExactOptions) ([]int32, error) {
 	}
 	s.scratch = newBitset(n)
 	s.solve(active)
-	sortNodes(s.best)
+	slices.Sort(s.best)
 	if s.ctxErr != nil {
 		return s.best, s.ctxErr
 	}

@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"pslocal/internal/graph"
 )
@@ -78,7 +79,7 @@ func GreedyMinDegree(g *graph.Graph) []int32 {
 			return true
 		})
 	}
-	sortNodes(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -87,24 +88,25 @@ func GreedyMinDegree(g *graph.Graph) []int32 {
 // algorithm for MIS described in the paper's introduction. The order must
 // be a permutation of 0..n-1; violations are reported via error.
 func GreedyOrder(g *graph.Graph, order []int32) ([]int32, error) {
-	return greedyOrderAuto(nil, g, order)
-}
-
-// greedyOrderAuto validates the order and scans it with the dense kernel
-// when the graph clears the density cutoff (or a pack was injected), the
-// CSR walk otherwise. Both paths produce the identical set for any order.
-func greedyOrderAuto(injected *Dense, g *graph.Graph, order []int32) ([]int32, error) {
 	if err := validateOrder(g, order); err != nil {
 		return nil, err
 	}
-	if d := denseFor(injected, g); d != nil {
-		return greedyOrderDense(d, order), nil
-	}
-	return greedyOrderList(g, order), nil
+	return greedyOrderScan(g, order), nil
 }
 
-// greedyOrderList is the CSR-walking order scan; callers have validated
-// the order.
+// greedyOrderScan scans a permutation of g's vertices with the dense
+// kernel when g clears the density cutoff, the CSR walk otherwise. Both
+// paths produce the identical set for any order.
+func greedyOrderScan(g *graph.Graph, order []int32) []int32 {
+	if !DenseEligible(g) {
+		return greedyOrderList(g, order)
+	}
+	d := packDense(g)
+	defer releaseDense(d)
+	return greedyOrderDense(d, order)
+}
+
+// greedyOrderList is the CSR-walking order scan of a permutation.
 func greedyOrderList(g *graph.Graph, order []int32) []int32 {
 	inSet := make([]bool, g.N())
 	var out []int32
@@ -122,7 +124,7 @@ func greedyOrderList(g *graph.Graph, order []int32) []int32 {
 			out = append(out, v)
 		}
 	}
-	sortNodes(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -148,13 +150,7 @@ func GreedyRandomOrder(g *graph.Graph, rng *rand.Rand) []int32 {
 	for i, p := range rng.Perm(g.N()) {
 		order[i] = int32(p)
 	}
-	out, err := GreedyOrder(g, order)
-	if err != nil {
-		// A permutation from rng.Perm is always valid; reaching this is a
-		// programming bug, not an input error.
-		panic(err)
-	}
-	return out
+	return greedyOrderScan(g, order)
 }
 
 // MinDegreeOracle adapts GreedyMinDegree to the Oracle interface.
@@ -177,16 +173,12 @@ func (MinDegreeOracle) Solve(g *graph.Graph) ([]int32, error) {
 // deterministic per-call seed sequence.
 type RandomOrderOracle struct {
 	// Seed initialises the oracle's private random stream.
-	Seed  int64
-	rng   *rand.Rand
-	dense *Dense
+	Seed int64
+	rng  *rand.Rand
 }
 
 // Name implements Oracle.
 func (o *RandomOrderOracle) Name() string { return "greedy-random" }
-
-// SetDense implements DenseSetter.
-func (o *RandomOrderOracle) SetDense(d *Dense) { o.dense = d }
 
 // Solve implements Oracle. On weighted instances the random permutation
 // only breaks weight/(deg+1) ratio ties, so the scan still follows the
@@ -200,39 +192,34 @@ func (o *RandomOrderOracle) Solve(g *graph.Graph) ([]int32, error) {
 		for i, p := range o.rng.Perm(g.N()) {
 			pos[p] = int32(i)
 		}
-		return greedyOrderAuto(o.dense, g, weightedRatioOrder(g, pos))
+		return greedyOrderScan(g, weightedRatioOrder(g, pos)), nil
 	}
 	order := make([]int32, g.N())
 	for i, p := range o.rng.Perm(g.N()) {
 		order[i] = int32(p)
 	}
-	return greedyOrderAuto(o.dense, g, order)
+	return greedyOrderScan(g, order), nil
 }
 
 // FirstFitOracle runs GreedyOrder on the identity permutation; it is the
 // weakest reasonable oracle and a useful adversarial baseline.
-type FirstFitOracle struct {
-	dense *Dense
-}
+type FirstFitOracle struct{}
 
 // Name implements Oracle.
 func (FirstFitOracle) Name() string { return "greedy-firstfit" }
 
-// SetDense implements DenseSetter.
-func (o *FirstFitOracle) SetDense(d *Dense) { o.dense = d }
-
 // Solve implements Oracle. Weighted instances scan in the weighted
 // Caro–Wei order instead of the identity permutation — first-fit over an
 // arbitrary order forfeits the weighted guarantee entirely.
-func (o FirstFitOracle) Solve(g *graph.Graph) ([]int32, error) {
+func (FirstFitOracle) Solve(g *graph.Graph) ([]int32, error) {
 	if g.Weighted() {
-		return greedyWeightedAuto(o.dense, g), nil
+		return GreedyWeighted(g), nil
 	}
 	order := make([]int32, g.N())
 	for i := range order {
 		order[i] = int32(i)
 	}
-	return greedyOrderAuto(o.dense, g, order)
+	return greedyOrderScan(g, order), nil
 }
 
 // MinDegreeBitsetOracle adapts the dense min-degree kernel to the Oracle
@@ -241,45 +228,32 @@ func (o FirstFitOracle) Solve(g *graph.Graph) ([]int32, error) {
 // from MinDegreeOracle's bucket queue, so the two are distinct registry
 // members rather than one auto-routing oracle — both meet the Caro–Wei
 // bound, and racing them in a portfolio is free diversity.
-type MinDegreeBitsetOracle struct {
-	dense *Dense
-}
+type MinDegreeBitsetOracle struct{}
 
 // Name implements Oracle.
 func (MinDegreeBitsetOracle) Name() string { return "greedy-mindeg-bitset" }
 
-// SetDense implements DenseSetter.
-func (o *MinDegreeBitsetOracle) SetDense(d *Dense) { o.dense = d }
-
 // Solve implements Oracle. Weighted instances route to the weighted
 // greedy on the packed adjacency.
-func (o MinDegreeBitsetOracle) Solve(g *graph.Graph) ([]int32, error) {
+func (MinDegreeBitsetOracle) Solve(g *graph.Graph) ([]int32, error) {
 	if g.Weighted() {
-		return greedyWeightedAuto(o.dense, g), nil
+		return GreedyWeighted(g), nil
 	}
-	return greedyMinDegreeAuto(o.dense, g), nil
+	return GreedyMinDegreeBitset(g), nil
 }
 
 // ExactOracle adapts the exact solver to the Oracle interface (λ = 1).
 type ExactOracle struct {
 	// Options forwards solver options, e.g. a clique hint or budget.
 	Options ExactOptions
-	dense   *Dense
 }
 
 // Name implements Oracle.
 func (ExactOracle) Name() string { return "exact" }
 
-// SetDense implements DenseSetter.
-func (o *ExactOracle) SetDense(d *Dense) { o.dense = d }
-
 // Solve implements Oracle.
 func (o ExactOracle) Solve(g *graph.Graph) ([]int32, error) {
-	opts := o.Options
-	if opts.Dense == nil {
-		opts.Dense = o.dense
-	}
-	return ExactOpts(g, opts)
+	return ExactOpts(g, o.Options)
 }
 
 // SolveContext implements ContextSolver: the branch-and-bound polls ctx
@@ -289,9 +263,6 @@ func (o ExactOracle) SolveContext(ctx context.Context, g *graph.Graph) ([]int32,
 	opts := o.Options
 	if opts.Ctx == nil {
 		opts.Ctx = ctx
-	}
-	if opts.Dense == nil {
-		opts.Dense = o.dense
 	}
 	return ExactOpts(g, opts)
 }

@@ -14,7 +14,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"pslocal/internal/graph"
 )
@@ -140,9 +139,4 @@ func Ratio(optimalSize, approxSize int) (float64, error) {
 		return 0, fmt.Errorf("maxis: empty approximate solution for non-empty optimum %d", optimalSize)
 	}
 	return float64(optimalSize) / float64(approxSize), nil
-}
-
-// sortNodes ascending-sorts an independent set for canonical output.
-func sortNodes(s []int32) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }

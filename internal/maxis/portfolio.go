@@ -77,17 +77,6 @@ func (p *Portfolio) Members() []Oracle { return p.members }
 // serially in order, which yields the same result as any parallel run.
 func (p *Portfolio) SetEngine(opts engine.Options) { p.eng = opts }
 
-// SetDense implements DenseSetter by forwarding the packed adjacency to
-// every member that can use it, so a portfolio race on a cached instance
-// packs zero times.
-func (p *Portfolio) SetDense(d *Dense) {
-	for _, m := range p.members {
-		if ds, ok := m.(DenseSetter); ok {
-			ds.SetDense(d)
-		}
-	}
-}
-
 // Solve implements Oracle: every member solves g (concurrently when the
 // engine options select more than one worker), and the heaviest returned
 // set wins (SetWeight — cardinality on unweighted instances). Members

@@ -137,6 +137,35 @@ func TestPortfolioDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestPortfolioPackingMembersAcrossWidths races three members that each
+// pack the dense instance into pooled scratch from their own goroutine:
+// every width-4 race must equal the width-1 one, and -race must see no
+// pack shared between members.
+func TestPortfolioPackingMembersAcrossWidths(t *testing.T) {
+	g := graph.GnP(160, 0.4, rand.New(rand.NewSource(29)))
+	if !DenseEligible(g) {
+		t.Fatal("G(160, 0.4) should clear the density cutoff")
+	}
+	race := func(workers int) []int32 {
+		o, err := Lookup("portfolio:greedy-mindeg-bitset,greedy-firstfit,greedy-random", 3)
+		if err != nil {
+			t.Fatalf("lookup: %v", err)
+		}
+		o.(*Portfolio).SetEngine(engine.Options{Workers: workers})
+		set, err := o.Solve(g)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return set
+	}
+	want := race(1)
+	for round := 0; round < 50; round++ {
+		if got := race(4); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: width 4 gave %v, width 1 gave %v", round, got, want)
+		}
+	}
+}
+
 type failingOracle struct{ err error }
 
 func (f failingOracle) Name() string                        { return "failing" }

@@ -115,14 +115,11 @@ func Names() []string {
 }
 
 // The built-in suite registers under the Name() strings of its oracles.
-// Factories construct pointers so owners can inject a cached packed
-// adjacency through the DenseSetter interface where the oracle supports
-// it; the zero values stay valid oracles for direct literal use.
 func init() {
-	MustRegister("exact", func(int64) Oracle { return &ExactOracle{} })
+	MustRegister("exact", func(int64) Oracle { return ExactOracle{} })
 	MustRegister("greedy-mindeg", func(int64) Oracle { return MinDegreeOracle{} })
-	MustRegister("greedy-mindeg-bitset", func(int64) Oracle { return &MinDegreeBitsetOracle{} })
-	MustRegister("greedy-firstfit", func(int64) Oracle { return &FirstFitOracle{} })
+	MustRegister("greedy-mindeg-bitset", func(int64) Oracle { return MinDegreeBitsetOracle{} })
+	MustRegister("greedy-firstfit", func(int64) Oracle { return FirstFitOracle{} })
 	MustRegister("greedy-random", func(seed int64) Oracle { return &RandomOrderOracle{Seed: seed} })
 	MustRegister("clique-removal", func(int64) Oracle { return CliqueRemovalOracle{} })
 	MustRegister("bipartite-exact", func(int64) Oracle { return BipartiteOracle{} })

@@ -121,6 +121,11 @@ func TestRegisterRejectsDuplicatesAndEmpty(t *testing.T) {
 	if err := Register("test-only-oracle", func(int64) Oracle { return FirstFitOracle{} }); err != nil {
 		t.Errorf("fresh Register failed: %v", err)
 	}
+	t.Cleanup(func() {
+		registry.Lock()
+		delete(registry.factories, "test-only-oracle")
+		registry.Unlock()
+	})
 	o, err := Lookup("test-only-oracle", 0)
 	if err != nil || o.Name() != "greedy-firstfit" {
 		t.Errorf("Lookup of fresh registration: %v, %v", o, err)

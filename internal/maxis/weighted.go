@@ -55,17 +55,7 @@ func VerifyWeighted(g *graph.Graph, nodes []int32, reported int64) error {
 // total weight at least the weighted Caro–Wei bound Σ w(v)/(deg(v)+1).
 // Dense graphs use the packed bitset scan.
 func GreedyWeighted(g *graph.Graph) []int32 {
-	return greedyWeightedAuto(nil, g)
-}
-
-// greedyWeightedAuto is GreedyWeighted with an optionally injected packed
-// adjacency (instance caches inject via DenseSetter oracles).
-func greedyWeightedAuto(injected *Dense, g *graph.Graph) []int32 {
-	order := weightedRatioOrder(g, nil)
-	if d := denseFor(injected, g); d != nil {
-		return greedyOrderDense(d, order)
-	}
-	return greedyOrderList(g, order)
+	return greedyOrderScan(g, weightedRatioOrder(g, nil))
 }
 
 // weightedRatioOrder returns the vertices sorted by descending

@@ -415,11 +415,10 @@ func TestGreedyWeightedDenseMatchesList(t *testing.T) {
 		if err != nil {
 			t.Fatalf("WithWeights: %v", err)
 		}
-		d := NewDense(wg)
-		if d == nil {
+		if !DenseEligible(wg) {
 			t.Skip("instance below the density cutoff")
 		}
-		viaDense := greedyWeightedAuto(d, wg)
+		viaDense := GreedyWeighted(wg)
 		order := weightedRatioOrder(wg, nil)
 		viaList, err := GreedyOrder(wg, order)
 		if err != nil {

@@ -28,6 +28,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"pslocal/internal/graph"
 	"pslocal/internal/maxis"
@@ -140,7 +141,7 @@ func BallCarvingMaxIS(g *graph.Graph, opts CarvingOptions) (*CarvingResult, erro
 			res.Locality = lookahead
 		}
 	}
-	sortInt32(res.Set)
+	slices.Sort(res.Set)
 	return res, nil
 }
 

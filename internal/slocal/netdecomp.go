@@ -17,6 +17,7 @@ package slocal
 
 import (
 	"fmt"
+	"slices"
 
 	"pslocal/internal/graph"
 	"pslocal/internal/maxis"
@@ -216,6 +217,6 @@ func DecompositionMaxIS(g *graph.Graph, d *Decomposition) ([]int32, error) {
 			}
 		}
 	}
-	sortInt32(out)
+	slices.Sort(out)
 	return out, nil
 }

@@ -20,7 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pslocal/internal/graph"
 )
@@ -157,7 +157,7 @@ func (w *View) BallNodes(r int) []int32 {
 	prefix := w.s.visited[:w.s.levelEnd[eff]]
 	nodes := make([]int32, len(prefix))
 	copy(nodes, prefix)
-	sortInt32(nodes)
+	slices.Sort(nodes)
 	return nodes
 }
 
@@ -273,9 +273,4 @@ func checkPermutation(n int, order []int32) error {
 		seen[v] = true
 	}
 	return nil
-}
-
-// sortInt32 ascending-sorts a slice of node ids.
-func sortInt32(s []int32) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }

@@ -101,9 +101,9 @@ func BenchmarkSolverCacheHitAllocsWeighted(b *testing.B) {
 }
 
 // BenchmarkSolverMaxISReaderHot is the end-to-end serve path on a hot
-// instance — read, hash, hit, inject the cached dense pack, solve. The
-// solve itself allocates (the result set), so this tracks total per-hit
-// cost rather than the zero line.
+// instance — read, hash, hit, solve, the solve packing the dense
+// adjacency into pooled scratch. The solve itself allocates (the result
+// set), so this tracks total per-hit cost rather than the zero line.
 func BenchmarkSolverMaxISReaderHot(b *testing.B) {
 	benchMaxISReaderHot(b, benchGraphBody(b, 256, 0.3))
 }

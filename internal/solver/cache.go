@@ -51,8 +51,16 @@ const (
 	KindGraph      = "graph"
 )
 
+// instance is a parsed instance as the cache holds it: a *graph.Graph or
+// a *hypergraph.Hypergraph, read through the methods both have.
+type instance interface {
+	N() int
+	M() int
+	Weighted() bool
+}
+
 // instanceCache is a mutex-guarded LRU from content hash to parsed
-// instance (*cachedGraph or *hypergraph.Hypergraph) and its answers.
+// instance and its answers.
 type instanceCache struct {
 	mu        sync.Mutex
 	capacity  int
@@ -72,7 +80,7 @@ type instanceCache struct {
 // computed on it, which leave the cache with it.
 type cacheEntry struct {
 	key     string
-	val     any
+	val     instance
 	answers answerSet
 }
 
@@ -188,16 +196,17 @@ func (c *instanceCache) getBytes(key []byte) (*cacheEntry, bool) {
 	return el.Value.(*cacheEntry), true
 }
 
-// put inserts (or refreshes) key → val, evicts the least recently used
-// entries beyond capacity, and returns the entry now holding key.
-func (c *instanceCache) put(key string, val any) *cacheEntry {
+// put inserts key → val, evicts the least recently used entries beyond
+// capacity, and returns the entry now holding key. A key already present
+// keeps its first instance: readers use an entry's val outside mu, so it
+// is never written after the entry is published, and concurrent misses
+// on one body share one parsed instance.
+func (c *instanceCache) put(key string, val instance) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		e := el.Value.(*cacheEntry)
-		e.val = val
 		c.order.MoveToFront(el)
-		return e
+		return el.Value.(*cacheEntry)
 	}
 	e := &cacheEntry{key: key, val: val}
 	c.items[key] = c.order.PushFront(e)

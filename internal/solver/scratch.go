@@ -16,9 +16,6 @@ import (
 	"hash"
 	"io"
 	"sync"
-
-	"pslocal/internal/graph"
-	"pslocal/internal/maxis"
 )
 
 // maxRetainedBody caps the read buffer a pooled scratch keeps between
@@ -98,20 +95,4 @@ func (sc *serveScratch) key(kind, format string, body []byte) []byte {
 	sum := sc.hash.Sum(sc.sum[:0])
 	hex.Encode(sc.hex[:], sum)
 	return sc.hex[:]
-}
-
-// cachedGraph is the instance-cache value for graph instances: the parsed
-// CSR plus its packed bitset adjacency, built lazily on the first solve
-// that can use it and shared by every later cache hit. dense stays nil
-// for graphs below the density cutoff (maxis.NewDense declines them).
-type cachedGraph struct {
-	g     *graph.Graph
-	once  sync.Once
-	dense *maxis.Dense
-}
-
-// densePack returns the packed adjacency, building it on first use.
-func (cg *cachedGraph) densePack() *maxis.Dense {
-	cg.once.Do(func() { cg.dense = maxis.NewDense(cg.g) })
-	return cg.dense
 }

@@ -354,7 +354,7 @@ func (s *Solver) MaxIS(ctx context.Context, g *graph.Graph) (*ISResult, error) {
 		return nil, err
 	}
 	defer s.release()
-	return s.maxIS(ctx, g, nil, s.maxISKey())
+	return s.maxIS(ctx, g, s.maxISKey())
 }
 
 // maxISKey resolves the MaxIS strategy into the answer key of exactly
@@ -377,10 +377,8 @@ func (s *Solver) maxISKey() answerKey {
 }
 
 // maxIS is MaxIS past the admission gate, running the strategy key
-// names. A non-nil cg supplies the cached instance's lazily packed
-// bitset adjacency, injected into kernel-capable oracles so cache-hit
-// requests never re-pack.
-func (s *Solver) maxIS(ctx context.Context, g *graph.Graph, cg *cachedGraph, key answerKey) (*ISResult, error) {
+// names.
+func (s *Solver) maxIS(ctx context.Context, g *graph.Graph, key answerKey) (*ISResult, error) {
 	if s.cfg.carving {
 		sp := obs.TraceFrom(ctx).Start("carving_solve")
 		sp.SetDims(g.N(), g.M())
@@ -419,13 +417,6 @@ func (s *Solver) maxIS(ctx context.Context, g *graph.Graph, cg *cachedGraph, key
 	if es, ok := oracle.(maxis.EngineSetter); ok {
 		es.SetEngine(s.engineOpts(ctx))
 	}
-	if cg != nil {
-		if ds, ok := oracle.(maxis.DenseSetter); ok {
-			if d := cg.densePack(); d != nil {
-				ds.SetDense(d)
-			}
-		}
-	}
 	sp := obs.TraceFrom(ctx).Start("oracle_solve")
 	sp.SetDims(g.N(), g.M())
 	sp.SetOracle(name)
@@ -458,7 +449,7 @@ type Instance struct {
 
 	// value is the parsed instance, exposed through Hypergraph/Graph so
 	// callers (cfserve's verification pass) reach it without a re-parse.
-	value any
+	value instance
 }
 
 // Hypergraph returns the parsed hypergraph behind a SolveReader instance
@@ -471,22 +462,13 @@ func (i *Instance) Hypergraph() *hypergraph.Hypergraph {
 // Graph returns the parsed graph behind a MaxISReader instance (nil for
 // hypergraph instances).
 func (i *Instance) Graph() *graph.Graph {
-	cg, _ := i.value.(*cachedGraph)
-	if cg == nil {
-		return nil
-	}
-	return cg.g
+	g, _ := i.value.(*graph.Graph)
+	return g
 }
 
 // Weighted reports whether the parsed instance carries vertex weights.
 func (i *Instance) Weighted() bool {
-	switch v := i.value.(type) {
-	case *cachedGraph:
-		return v.g.Weighted()
-	case *hypergraph.Hypergraph:
-		return v.Weighted()
-	}
-	return false
+	return i.value != nil && i.value.Weighted()
 }
 
 // SolveReader reads a hypergraph from r in the given graphio format
@@ -531,7 +513,7 @@ func (s *Solver) MaxISReader(ctx context.Context, r io.Reader, f graphio.Format)
 	}
 	defer s.release()
 	inst := new(Instance)
-	cg, answers, err := s.readGraphInto(ctx, r, f, inst)
+	g, answers, err := s.readGraphInto(ctx, r, f, inst)
 	if err != nil {
 		return nil, nil, wrapCancelled(ctx, err)
 	}
@@ -540,38 +522,12 @@ func (s *Solver) MaxISReader(ctx context.Context, r io.Reader, f graphio.Format)
 		inst.AnswerHit = true
 		return v.(*ISResult), inst, nil
 	}
-	res, err := s.maxIS(ctx, cg.g, cg, key)
+	res, err := s.maxIS(ctx, g, key)
 	if err != nil {
 		return nil, inst, err
 	}
 	answers.put(key, res)
 	return res, inst, nil
-}
-
-// parseGraphEntry/dimsGraphEntry and their hypergraph twins are the
-// readInstance plumbing, named (not closures) so the cache-hit path
-// carries no per-call closure values.
-
-func parseGraphEntry(body []byte, f graphio.Format) (any, error) {
-	g, err := graphio.ParseGraph(body, f)
-	if err != nil {
-		return nil, err
-	}
-	return &cachedGraph{g: g}, nil
-}
-
-func dimsGraphEntry(v any) (int, int) {
-	cg := v.(*cachedGraph)
-	return cg.g.N(), cg.g.M()
-}
-
-func parseHypergraphEntry(body []byte, f graphio.Format) (any, error) {
-	return graphio.ParseHypergraph(body, f)
-}
-
-func dimsHypergraphEntry(v any) (int, int) {
-	h := v.(*hypergraph.Hypergraph)
-	return h.N(), h.M()
 }
 
 // readInstance funnels both substrates through one read-then-parse flow,
@@ -583,9 +539,7 @@ func dimsHypergraphEntry(v any) (int, int) {
 // whole point), and a hit borrows the entry's canonical key string — the
 // whole hit path allocates nothing. Without a cache nothing is hashed,
 // Instance.Key stays empty and the answer set is nil.
-func (s *Solver) readInstance(ctx context.Context, r io.Reader, f graphio.Format, kind string, inst *Instance,
-	parse func([]byte, graphio.Format) (any, error),
-	dims func(any) (int, int)) (any, *answerSet, error) {
+func (s *Solver) readInstance(ctx context.Context, r io.Reader, f graphio.Format, kind string, inst *Instance) (instance, *answerSet, error) {
 	tr := obs.TraceFrom(ctx)
 	*inst = Instance{Kind: kind}
 	sc := grabServeScratch()
@@ -603,7 +557,7 @@ func (s *Solver) readInstance(ctx context.Context, r io.Reader, f graphio.Format
 		if e, ok := s.cache.getBytes(keyHex); ok {
 			inst.Key = e.key
 			inst.CacheHit = true
-			inst.N, inst.M = dims(e.val)
+			inst.N, inst.M = e.val.N(), e.val.M()
 			inst.value = e.val
 			lookup.SetDetail("hit")
 			lookup.SetDims(inst.N, inst.M)
@@ -617,36 +571,44 @@ func (s *Solver) readInstance(ctx context.Context, r io.Reader, f graphio.Format
 		sp.End()
 	}
 	parseSp := tr.Start("parse")
-	v, err := parse(body, f)
+	v, err := parseInstance(kind, body, f)
 	parseSp.End()
 	if err != nil {
 		return nil, nil, err
 	}
 	var answers *answerSet
 	if s.cache != nil {
-		answers = &s.cache.put(inst.Key, v).answers
+		e := s.cache.put(inst.Key, v)
+		v, answers = e.val, &e.answers
 	}
-	inst.N, inst.M = dims(v)
+	inst.N, inst.M = v.N(), v.M()
 	inst.value = v
 	parseSp.SetDims(inst.N, inst.M)
 	return v, answers, nil
 }
 
+// parseInstance parses body as the substrate kind names.
+func parseInstance(kind string, body []byte, f graphio.Format) (instance, error) {
+	if kind == KindGraph {
+		return graphio.ParseGraph(body, f)
+	}
+	return graphio.ParseHypergraph(body, f)
+}
+
 // readHypergraphInto parses a hypergraph through the cache.
 func (s *Solver) readHypergraphInto(ctx context.Context, r io.Reader, f graphio.Format, inst *Instance) (*hypergraph.Hypergraph, *answerSet, error) {
-	v, answers, err := s.readInstance(ctx, r, f, KindHypergraph, inst, parseHypergraphEntry, dimsHypergraphEntry)
+	v, answers, err := s.readInstance(ctx, r, f, KindHypergraph, inst)
 	if err != nil {
 		return nil, nil, err
 	}
 	return v.(*hypergraph.Hypergraph), answers, nil
 }
 
-// readGraphInto parses a graph through the cache, returning the value
-// that lazily owns the CSR's packed bitset adjacency.
-func (s *Solver) readGraphInto(ctx context.Context, r io.Reader, f graphio.Format, inst *Instance) (*cachedGraph, *answerSet, error) {
-	v, answers, err := s.readInstance(ctx, r, f, KindGraph, inst, parseGraphEntry, dimsGraphEntry)
+// readGraphInto parses a graph through the cache.
+func (s *Solver) readGraphInto(ctx context.Context, r io.Reader, f graphio.Format, inst *Instance) (*graph.Graph, *answerSet, error) {
+	v, answers, err := s.readInstance(ctx, r, f, KindGraph, inst)
 	if err != nil {
 		return nil, nil, err
 	}
-	return v.(*cachedGraph), answers, nil
+	return v.(*graph.Graph), answers, nil
 }

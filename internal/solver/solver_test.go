@@ -575,14 +575,101 @@ func TestMaxISReaderFormats(t *testing.T) {
 	}
 }
 
+// TestMaxISReaderCachedDenseMatchesOracle reads a dense instance into
+// the cache once, then solves it on instance hits under each packing
+// oracle: every hit must return exactly the set the registry oracle
+// finds on the parsed graph.
+func TestMaxISReaderCachedDenseMatchesOracle(t *testing.T) {
+	ctx := context.Background()
+	cases := []struct {
+		g       *graph.Graph
+		oracles []string
+	}{
+		{graph.GnP(96, 0.4, rand.New(rand.NewSource(23))), []string{"greedy-mindeg-bitset", "greedy-firstfit", "greedy-random"}},
+		{graph.GnP(40, 0.4, rand.New(rand.NewSource(24))), []string{"exact"}},
+	}
+	for _, c := range cases {
+		if !maxis.DenseEligible(c.g) {
+			t.Fatalf("G(%d, 0.4) should clear the density cutoff", c.g.N())
+		}
+		var buf bytes.Buffer
+		if err := graphio.WriteGraph(&buf, c.g, graphio.FormatEdgeList); err != nil {
+			t.Fatal(err)
+		}
+		body := buf.Bytes()
+		parsed, err := graphio.ParseGraph(body, graphio.FormatEdgeList)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := New(WithCache(4))
+		if _, _, err := s.MaxISReader(ctx, bytes.NewReader(body), graphio.FormatEdgeList); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range c.oracles {
+			for _, seed := range []int64{1, 7} {
+				res, inst, err := s.With(WithOracle(name), WithSeed(seed)).MaxISReader(ctx, bytes.NewReader(body), graphio.FormatEdgeList)
+				if err != nil {
+					t.Fatalf("%s seed %d: %v", name, seed, err)
+				}
+				if !inst.CacheHit || inst.AnswerHit {
+					t.Fatalf("%s seed %d: CacheHit=%v AnswerHit=%v, want an instance hit that solves", name, seed, inst.CacheHit, inst.AnswerHit)
+				}
+				o, err := maxis.Lookup(name, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := o.Solve(parsed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(res.Set, want) {
+					t.Errorf("%s seed %d: reader gave %v, oracle gave %v", name, seed, res.Set, want)
+				}
+			}
+		}
+	}
+}
+
+// TestConcurrentMissesShareOneInstance races readers of one body on a
+// cold cache: the first parse to land is the entry's instance, and every
+// reader, hit or miss, gets that one.
+func TestConcurrentMissesShareOneInstance(t *testing.T) {
+	body := benchGraphBody(t, 64, 0.2)
+	s := New(WithCache(4))
+	got := make([]*graph.Graph, 8)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			_, inst, err := s.MaxISReader(context.Background(), bytes.NewReader(body), graphio.FormatEdgeList)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = inst.Graph()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, g := range got {
+		if g != got[0] {
+			t.Errorf("reader %d got a different instance from reader 0", i)
+		}
+	}
+}
+
 func TestCacheEviction(t *testing.T) {
 	c := newInstanceCache(2)
-	c.put("a", 1)
-	c.put("b", 2)
+	g := graph.Cycle(3)
+	c.put("a", g)
+	c.put("b", g)
 	if _, ok := c.getBytes([]byte("a")); !ok {
 		t.Fatal("a should be cached")
 	}
-	c.put("c", 3) // evicts b, the least recently used
+	c.put("c", g) // evicts b, the least recently used
 	if _, ok := c.getBytes([]byte("b")); ok {
 		t.Error("b should have been evicted")
 	}
